@@ -43,8 +43,6 @@ def to_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings (and exact floats) to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -58,10 +56,6 @@ def to_vector(x, dimension: int) -> Vec:
     if len(vec) != dimension:
         raise ValueError("expected a vector of length %d, got %r" % (dimension, x))
     return vec
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def dot(u, v) -> Fraction:

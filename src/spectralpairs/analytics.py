@@ -38,7 +38,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedPairError,
 )
-from .finite_pairs import FiniteSet, build_evaluation_matrix
+from .finite_pairs import FiniteSet, Tolerances, build_evaluation_matrix
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,7 +127,9 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     return out
 
 
-def _square_inverse(a: FiniteSet, j: FiniteSet, condition_cap: float = 1e12) -> np.ndarray:
+def _square_inverse(
+    a: FiniteSet, j: FiniteSet, condition_cap: float = Tolerances().condition_cap
+) -> np.ndarray:
     f = build_evaluation_matrix(a, j).entries
     if f.shape[0] != f.shape[1]:
         raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
@@ -171,7 +173,7 @@ class DualBasis:
 
     @property
     def is_self_dual(self) -> bool:
-        return bool(np.abs(self.piece_coefficients - 1.0).max() < 1e-10)
+        return bool(np.abs(self.piece_coefficients - 1.0).max() < Tolerances().unitary)
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,7 +252,7 @@ def reconstruct_function(
     dual: DualBasis,
     coefficients,
     eval_grid,
-    radius=None,
+    radius,
 ) -> np.ndarray:
     """Evaluate the truncated dual expansion |Omega|^{-1} sum <u,e> g at grid points.
 
@@ -259,8 +261,6 @@ def reconstruct_function(
     spectrum and ``dom`` the combined domain.  Grid points outside the
     domain evaluate to 0.
     """
-    if radius is None:
-        radius = spec.truncation_radius
     points = enumerate_spectrum(spec, radius)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(points),):

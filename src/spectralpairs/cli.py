@@ -32,7 +32,14 @@ from .constructor import (
     combine_orthogonal,
     combine_riesz,
 )
-from .domains import BoxDomain, Spectrum, integer_lattice, minkowski_translate, shift_spectrum
+from .domains import (
+    BoxDomain,
+    enumerate_spectrum,
+    integer_lattice,
+    minkowski_translate,
+    shift_spectrum,
+    unit_box,
+)
 from .errors import InputError, SpectralPairError
 from .finite_pairs import FiniteSet, PairKind, Tolerances, build_evaluation_matrix, classify_finite_pair
 from .sampling import (
@@ -90,6 +97,18 @@ def _load_json(path: str) -> dict:
         )
 
 
+def _parse_json(path: str, parse):
+    """parse(data) for the JSON in path; a missing key or a value of the
+    wrong shape is malformed input, not a crash."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise InputError("malformed input in %s: missing key %s" % (path, exc)) from None
+    except (TypeError, IndexError) as exc:
+        raise InputError("malformed input in %s: %s" % (path, exc)) from None
+
+
 def _emit_json(data: dict, out: str | None) -> None:
     text = json.dumps(data, indent=2)
     if out:
@@ -118,17 +137,17 @@ def _tolerances(ns) -> Tolerances:
 def _base_pair(ns, dimension: int) -> ContinuousPair:
     path = getattr(ns, "base", None)
     if path:
-        return ContinuousPair.from_json_dict(_load_json(path))
-    from .domains import unit_box
-
+        return _parse_json(path, ContinuousPair.from_json_dict)
     return ContinuousPair.orthogonal(unit_box(dimension), integer_lattice(dimension))
 
 
 def _finite_pair(ns) -> tuple[FiniteSet, FiniteSet]:
     path = getattr(ns, "finite", None)
     if path:
-        data = _load_json(path)
-        return FiniteSet.from_json_dict(data["A"]), FiniteSet.from_json_dict(data["J"])
+        return _parse_json(
+            path,
+            lambda data: (FiniteSet.from_json_dict(data["A"]), FiniteSet.from_json_dict(data["J"])),
+        )
     return _finite_set(ns, "A"), _finite_set(ns, "J")
 
 
@@ -140,7 +159,7 @@ def _combined_pair(ns) -> ContinuousPair:
     """
     path = getattr(ns, "pair", None)
     if path:
-        return ContinuousPair.from_json_dict(_load_json(path))
+        return _parse_json(path, ContinuousPair.from_json_dict)
     a, j = _finite_pair(ns)
     base = _base_pair(ns, a.dimension)
     domain = minkowski_translate(base.domain, a)
@@ -326,19 +345,6 @@ def _figure_pairs() -> dict[str, ContinuousPair]:
     return {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig2}
 
 
-def _lattice_window(spectrum: Spectrum, index_bound: int) -> list:
-    """Points B z + shift with every lattice index |z_i| <= index_bound."""
-    import itertools as it
-
-    from ._exact import lattice_point, vec_add
-
-    pts = set()
-    for shift in spectrum.shifts:
-        for coords in it.product(range(-index_bound, index_bound + 1), repeat=spectrum.dimension):
-            pts.add(vec_add(lattice_point(spectrum.basis, coords), shift))
-    return sorted(pts)
-
-
 def _cmd_figure(ns) -> int:
     pairs = _figure_pairs()
     if ns.name not in pairs:
@@ -348,8 +354,10 @@ def _cmd_figure(ns) -> int:
 
     os.makedirs(ns.out, exist_ok=True)
     written = []
-    index_bound = 5 if pair.domain.dimension == 1 else 3
-    points = _lattice_window(pair.spectrum, index_bound)
+    # the window |x_i| <= 21/4 (1-d) or 13/4 (2-d) holds every figure spectrum
+    # point B z + shift with lattice indices |z_i| <= 5 (1-d) or 3 (2-d)
+    radius = Fraction(21, 4) if pair.domain.dimension == 1 else Fraction(13, 4)
+    points = enumerate_spectrum(pair.spectrum, radius)
     coord_names = ["x", "y", "z"][: pair.domain.dimension]
     if ns.name != "fig4":
         dom_path = os.path.join(ns.out, "%s_domain.csv" % ns.name)
@@ -470,9 +478,6 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return ns.func(ns)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 1
     except (SpectralPairError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 1

@@ -146,11 +146,26 @@ def _json_float(x: float):
     return None if math.isnan(x) else x
 
 
-_FINITE_REQUIREMENT = {
-    PairKind.FRAME: PairKind.FRAME,
-    PairKind.RIESZ_BASIS: PairKind.RIESZ_BASIS,
-    PairKind.ORTHOGONAL_BASIS: PairKind.ORTHOGONAL_BASIS,
-}
+def _geometry_checks(
+    base: ContinuousPair, a: FiniteSet
+) -> tuple[BoxDomain | None, list[HypothesisCheck]]:
+    """The domain Omega_1 + A (None when translates overlap) and the two
+    exact geometric hypotheses: disjoint translates, then root of unity."""
+    domain = None
+    try:
+        domain = minkowski_translate(base.domain, a)
+        disjoint = HypothesisCheck("disjoint-translates", True, "translated copies disjoint")
+    except OverlapError as exc:
+        disjoint = HypothesisCheck("disjoint-translates", False, str(exc))
+    root_ok = root_of_unity_condition(base.spectrum, a)
+    root = HypothesisCheck(
+        "root-of-unity",
+        root_ok,
+        "e^{2 pi i lambda.a} = 1 for all base spectrum points and a in A"
+        if root_ok
+        else "root-of-unity condition failed",
+    )
+    return domain, [disjoint, root]
 
 
 def _combine(
@@ -183,33 +198,17 @@ def _combine(
         card_msg = "#J = %d, #A = %d (need #J = #A)" % (len(j), len(a))
     checks.append(HypothesisCheck("cardinality", card_ok, card_msg))
 
-    domain = None
-    try:
-        domain = minkowski_translate(base.domain, a)
-        checks.append(HypothesisCheck("disjoint-translates", True, "translated copies disjoint"))
-    except OverlapError as exc:
-        checks.append(HypothesisCheck("disjoint-translates", False, str(exc)))
-
-    root_ok = root_of_unity_condition(base.spectrum, a)
-    checks.append(
-        HypothesisCheck(
-            "root-of-unity",
-            root_ok,
-            "e^{2 pi i lambda.a} = 1 for all base spectrum points and a in A"
-            if root_ok
-            else "root-of-unity condition failed",
-        )
-    )
+    domain, geometry = _geometry_checks(base, a)
+    checks.extend(geometry)
 
     finite = None
     if card_ok:
         finite = classify_finite_pair(a, j, tolerances)
-        need = _FINITE_REQUIREMENT[target]
         checks.append(
             HypothesisCheck(
                 "finite-kind",
-                finite.kind.at_least(need),
-                "finite pair is %s, need at least %s" % (finite.kind.value, need.value),
+                finite.kind.at_least(target),
+                "finite pair is %s, need at least %s" % (finite.kind.value, target.value),
             )
         )
     else:
@@ -314,18 +313,7 @@ def check_completeness_hypotheses(
     Needs disjoint translates, the root-of-unity condition, and a base
     system that is itself complete (any frame kind suffices).
     """
-    checks = []
-    try:
-        minkowski_translate(base.domain, a)
-        checks.append(HypothesisCheck("disjoint-translates", True))
-    except OverlapError as exc:
-        checks.append(HypothesisCheck("disjoint-translates", False, str(exc)))
-    root_ok = root_of_unity_condition(base.spectrum, a)
-    checks.append(
-        HypothesisCheck(
-            "root-of-unity", root_ok, "" if root_ok else "root-of-unity condition failed"
-        )
-    )
+    _, checks = _geometry_checks(base, a)
     checks.append(
         HypothesisCheck(
             "base-complete",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _exact
-from ._exact import Vec, to_fraction, to_vector
+from ._exact import Vec, to_fraction, to_vector, vec_add
 from .errors import (
     DimensionMismatchError,
     DuplicateSpectrumError,
@@ -30,6 +30,23 @@ Box = tuple[Vec, Vec]  # (lower corner, upper corner)
 def _boxes_overlap(b1: Box, b2: Box) -> bool:
     """Positive-measure intersection test for half-open boxes."""
     return all(max(l1, l2) < min(h1, h2) for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]))
+
+
+def _overlaps(boxes):
+    """Every index pair (i, k), i < k, of boxes that meet with positive measure.
+
+    One sort-and-sweep along the first axis: a box is tested only against
+    the boxes whose first-axis interval is still open at its lower edge.
+    """
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    open_boxes = []
+    for k in order:
+        edge = boxes[k][0][0]
+        open_boxes = [i for i in open_boxes if boxes[i][1][0] > edge]
+        for i in open_boxes:
+            if _boxes_overlap(boxes[i], boxes[k]):
+                yield (i, k) if i < k else (k, i)
+        open_boxes.append(k)
 
 
 def _box_intersection_measure(b1: Box, b2: Box) -> Fraction:
@@ -61,13 +78,13 @@ class BoxDomain:
             if not all(l < h for l, h in zip(lo, hi)):
                 raise ValueError("empty box: lo=%s hi=%s" % (lo, hi))
             norm.append((lo, hi))
-        for i in range(len(norm)):
-            for k in range(i + 1, len(norm)):
-                if _boxes_overlap(norm[i], norm[k]):
-                    raise OverlapError(
-                        "boxes %d and %d intersect with positive measure" % (i, k),
-                        offending=(norm[i], norm[k]),
-                    )
+        first = min(_overlaps(norm), default=None)
+        if first is not None:
+            i, k = first
+            raise OverlapError(
+                "boxes %d and %d intersect with positive measure" % (i, k),
+                offending=(norm[i], norm[k]),
+            )
         object.__setattr__(self, "boxes", tuple(norm))
 
     @classmethod
@@ -154,7 +171,6 @@ class Spectrum:
     dimension: int
     basis: tuple[Vec, ...]  # generator vectors (columns of B)
     shifts: tuple[Vec, ...] = ()
-    truncation_radius: Fraction = field(default=Fraction(5), compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -180,7 +196,6 @@ class Spectrum:
                 seen[red] = orig
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "shifts", reduced)
-        object.__setattr__(self, "truncation_radius", to_fraction(self.truncation_radius))
 
     @property
     def covolume(self) -> Fraction:
@@ -222,22 +237,23 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
     """The union of the translated copies {base + a : a in A}.
 
     The copies must be pairwise disjoint up to measure zero; a positive
-    overlap raises with the offending pair of translation vectors named.
+    overlap raises with the offending pair of translation vectors named:
+    the first overlapping pair in the order of A.
     """
     if base.dimension != a.dimension:
         raise DimensionMismatchError(
             "domain dimension %d != set dimension %d" % (base.dimension, a.dimension)
         )
-    translates = [base.translate(p) for p in a.points]
-    for (i, t1), (k, t2) in itertools.combinations(enumerate(translates), 2):
-        if t1.intersection_measure(t2) > 0:
-            raise OverlapError(
-                "translates by %s and %s overlap with positive measure"
-                % (a.points[i], a.points[k]),
-                offending=(a.points[i], a.points[k]),
-            )
-    boxes = tuple(box for t in translates for box in t.boxes)
-    return BoxDomain(base.dimension, boxes)
+    boxes = tuple((vec_add(lo, p), vec_add(hi, p)) for p in a.points for lo, hi in base.boxes)
+    try:
+        return BoxDomain(base.dimension, boxes)
+    except OverlapError:
+        m = len(base.boxes)  # box i lies in the translate by a.points[i // m]
+        i, k = min((i // m, k // m) for i, k in _overlaps(boxes))
+        raise OverlapError(
+            "translates by %s and %s overlap with positive measure" % (a.points[i], a.points[k]),
+            offending=(a.points[i], a.points[k]),
+        ) from None
 
 
 def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
@@ -253,8 +269,7 @@ def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
         for v in base.shifts
         for p in j.points
     )
-    return Spectrum(base.dimension, base.basis, shifts,
-                    truncation_radius=base.truncation_radius)
+    return Spectrum(base.dimension, base.basis, shifts)
 
 
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
-from ._exact import cis, omega_power
+from ._exact import omega_power
 from .errors import (
     DimensionMismatchError,
     InsufficientSpectrumError,
@@ -26,7 +25,6 @@ from .errors import (
 
 class PairKind(str, Enum):
     NONE = "none"
-    BESSEL = "bessel"
     FRAME = "frame"
     RIESZ_BASIS = "riesz-basis"
     ORTHOGONAL_BASIS = "orthogonal-basis"
@@ -41,10 +39,9 @@ class PairKind(str, Enum):
 
 _KIND_RANK = {
     PairKind.NONE: 0,
-    PairKind.BESSEL: 1,
-    PairKind.FRAME: 2,
-    PairKind.RIESZ_BASIS: 3,
-    PairKind.ORTHOGONAL_BASIS: 4,
+    PairKind.FRAME: 1,
+    PairKind.RIESZ_BASIS: 2,
+    PairKind.ORTHOGONAL_BASIS: 3,
 }
 
 
@@ -114,7 +111,6 @@ class EvaluationMatrix:
     """The (#J x #A) matrix [omega^{j.a}] together with its row/column labels."""
 
     entries: np.ndarray
-    omega: complex
     row_index: tuple[tuple[int, ...], ...]  # points of J
     col_index: tuple[tuple[int, ...], ...]  # points of A
 
@@ -160,7 +156,13 @@ def build_evaluation_matrix(a: FiniteSet, j: FiniteSet) -> EvaluationMatrix:
         for r, ap in enumerate(a.points):
             exponent = sum(jc * ac for jc, ac in zip(jp, ap))
             entries[s, r] = omega_power(exponent, n)
-    return EvaluationMatrix(entries, omega_power(1, n), j.points, a.points)
+    return EvaluationMatrix(entries, j.points, a.points)
+
+
+def _unitary_defect(f: np.ndarray) -> float:
+    """max |F^H F - (#rows) I|: zero exactly when the columns of F are
+    mutually orthogonal with squared norm #rows."""
+    return float(np.abs(f.conj().T @ f - f.shape[0] * np.eye(f.shape[1])).max())
 
 
 def classify_finite_pair(
@@ -177,17 +179,14 @@ def classify_finite_pair(
         raise InsufficientSpectrumError(
             "#J = %d < #A = %d: no frame classification" % (len(j), len(a))
         )
-    matrix = build_evaluation_matrix(a, j)
-    f = matrix.entries
-    k = len(a)
+    f = build_evaluation_matrix(a, j).entries
     sigma = np.linalg.svd(f, compute_uv=False)
     lower = float(sigma[-1] ** 2)
     upper = float(sigma[0] ** 2)
     condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
 
     square = len(a) == len(j)
-    gram_defect = np.abs(f.conj().T @ f - k * np.eye(k)).max()
-    if square and gram_defect < tolerances.unitary:
+    if square and _unitary_defect(f) < tolerances.unitary:
         kind = PairKind.ORTHOGONAL_BASIS
     elif square and condition < tolerances.condition_cap:
         kind = PairKind.RIESZ_BASIS
@@ -198,19 +197,15 @@ def classify_finite_pair(
     return FiniteClassification(kind, lower, upper, condition)
 
 
-def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet, tolerance: float = 1e-10) -> bool:
-    """True iff sum_{a in A} e^{2 pi i (j - j').a / N} vanishes for all j != j'."""
-    _require_compatible(a, j)
-    n = a.modulus
-    for s, jp in enumerate(j.points):
-        for jq in j.points[s + 1:]:
-            total = 0j
-            for ap in a.points:
-                exponent = sum((jc - qc) * ac for jc, qc, ac in zip(jp, jq, ap))
-                total += cis(Fraction(exponent % n, n))
-            if abs(total) >= tolerance:
-                return False
-    return True
+def check_mutual_orthogonality(
+    a: FiniteSet, j: FiniteSet, tolerance: float = Tolerances().unitary
+) -> bool:
+    """True iff sum_{a in A} e^{2 pi i (j - j').a / N} vanishes for all j != j'.
+
+    Those sums are the off-diagonal entries of F F^H (rows of F indexed
+    by J), whose diagonal is #A.
+    """
+    return _unitary_defect(build_evaluation_matrix(a, j).entries.T) < tolerance
 
 
 def transpose_pair(

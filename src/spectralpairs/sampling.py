@@ -25,7 +25,7 @@ import numpy as np
 from ._exact import cis, to_fraction
 from .domains import BoxDomain, minkowski_translate, unit_box
 from .errors import DimensionMismatchError
-from .finite_pairs import FiniteSet, symbol_of_set
+from .finite_pairs import FiniteSet, Tolerances, symbol_of_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ class AliasReport:
 
 
 def verify_alias_cancellation(
-    a: FiniteSet, j: FiniteSet, k_range, tolerance: float = 1e-10
+    a: FiniteSet, j: FiniteSet, k_range, tolerance: float = Tolerances().unitary
 ) -> AliasReport:
     """Check the three ways an aliasing term can vanish, k over the given range.
 

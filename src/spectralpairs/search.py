@@ -22,6 +22,7 @@ from .finite_pairs import (
     FiniteSet,
     PairKind,
     Tolerances,
+    _unitary_defect,
     build_evaluation_matrix,
     classify_finite_pair,
 )
@@ -163,13 +164,14 @@ class HadamardReport:
         }
 
 
-def hadamard_report(a: FiniteSet, j: FiniteSet, tolerance: float = 1e-10) -> HadamardReport:
+def hadamard_report(
+    a: FiniteSet, j: FiniteSet, tolerance: float = Tolerances().unitary
+) -> HadamardReport:
     """Unitarity (up to scale) of the evaluation matrix and self-duality of the pair."""
     f = build_evaluation_matrix(a, j).entries
     if f.shape[0] != f.shape[1]:
         raise ValueError("hadamard check needs a square evaluation matrix")
-    k = f.shape[0]
-    unitary_defect = float(np.abs(f.conj().T @ f - k * np.eye(k)).max())
+    unitary_defect = _unitary_defect(f)
     try:
         coeff_defect = float(np.abs(dual_piece_coefficients(a, j) - 1.0).max())
     except NonInvertibleError:

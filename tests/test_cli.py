@@ -90,6 +90,27 @@ class TestInputHandling:
         assert run(["construct", "--N", "4", "--A", "0,2", "--J", "0,1",
                     "--base", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv,payload,named",
+        [
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"],
+             {"domain": {"d": 1}}, "missing key 'boxes'"),
+            (["classify", "--finite"],
+             {"A": {"N": 4, "d": 1, "points": [[0], [2]]}}, "missing key 'J'"),
+            (["gram", "--pair"], [1, 2], "list indices"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"], [1, 2],
+             "list indices"),
+        ],
+        ids=["missing-boxes", "missing-J", "pair-is-list", "base-is-list"],
+    )
+    def test_wrongly_shaped_json_is_input_error(self, tmp_path, capsys, argv, payload, named):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert run(argv + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(path) in err and named in err
+        assert "Traceback" not in err
+
     def test_tolerance_range_enforced(self, capsys):
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0.5"]) == 1
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0"]) == 1
@@ -181,6 +202,9 @@ class TestFigures:
         assert code == 0
         assert (tmp_path / "fig4_pattern.csv").exists()
         assert not (tmp_path / "fig4_domain.csv").exists()
+        assert run(["figure", "fig2", "--out", str(tmp_path)]) == 0
+        pattern = (tmp_path / "fig4_pattern.csv").read_bytes()
+        assert pattern == (tmp_path / "fig2_spectrum.csv").read_bytes()
 
     def test_fig1_and_fig3_two_dimensional(self, tmp_path):
         for name in ("fig1", "fig3"):
@@ -190,6 +214,9 @@ class TestFigures:
             pts_rows = list(csv.reader((tmp_path / ("%s_spectrum.csv" % name)).open()))
             assert pts_rows[0] == ["x", "y"]
             assert len(pts_rows) > 40
+        # |z_i| <= 3 per lattice index: 7^2 points per shift, 2 (fig1) or 4 (fig3) shifts
+        assert len(list(csv.reader((tmp_path / "fig1_spectrum.csv").open()))) - 1 == 98
+        assert len(list(csv.reader((tmp_path / "fig3_spectrum.csv").open()))) - 1 == 196
 
     def test_unknown_figure(self, capsys):
         assert run(["figure", "fig9"]) == 1
