@@ -70,10 +70,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def is_integral(v) -> bool:
-    return all(Fraction(c).denominator == 1 for c in v)
-
-
 def lattice_point(generators: Mat, coords) -> Vec:
     """Sum of coords[i] * generators[i]."""
     d = len(generators[0])
@@ -82,29 +78,6 @@ def lattice_point(generators: Mat, coords) -> Vec:
         for k in range(d):
             out[k] += z * g[k]
     return tuple(out)
-
-
-def det(generators: Mat) -> Fraction:
-    """Determinant of the matrix whose columns are the generator vectors."""
-    d = len(generators)
-    # column i of the matrix is generators[i]
-    m = [[generators[j][i] for j in range(d)] for i in range(d)]
-    sign = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, d):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, d):
-                m[r][c] -= factor * m[col][c]
-    prod = sign
-    for i in range(d):
-        prod *= m[i][i]
-    return prod
 
 
 def solve(generators: Mat, v) -> Vec:

@@ -29,16 +29,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import Vec, cis, omega_power, to_fraction, to_vector
-from .domains import BoxDomain, Spectrum, enumerate_spectrum
-from .errors import (
-    DuplicateSpectrumError,
-    EmptySpectrumError,
-    NonInvertibleError,
-    ShapeMismatchError,
-    UnsupportedPairError,
+from ._exact import Vec, cis, to_fraction, to_vector
+from .domains import BoxDomain, Spectrum, enumerate_spectrum, shift_spectrum
+from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
+from .finite_pairs import (
+    FiniteSet,
+    Tolerances,
+    _checked_inverse,
+    _piece_coefficients,
+    build_evaluation_matrix,
 )
-from .finite_pairs import FiniteSet, Tolerances, build_evaluation_matrix
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,34 +127,15 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     return out
 
 
-def _square_inverse(
-    a: FiniteSet, j: FiniteSet, condition_cap: float = Tolerances().condition_cap
-) -> np.ndarray:
-    f = build_evaluation_matrix(a, j).entries
-    if f.shape[0] != f.shape[1]:
-        raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
-    sigma = np.linalg.svd(f, compute_uv=False)
-    if sigma[-1] == 0 or sigma[0] / sigma[-1] > condition_cap:
-        raise NonInvertibleError("evaluation matrix is singular or ill-conditioned")
-    return np.linalg.inv(f)
-
-
 def finite_dual(a: FiniteSet, j: FiniteSet) -> np.ndarray:
     """Dual values G[r, s] = G_{j_s}(a_r) = k (F^{-1})[r, s]."""
-    return len(a) * _square_inverse(a, j)
+    return len(a) * _checked_inverse(build_evaluation_matrix(a, j).entries)
 
 
 def dual_piece_coefficients(a: FiniteSet, j: FiniteSet) -> np.ndarray:
     """Piecewise multipliers c[r, s] = k (F^{-1})[r, s] omega^{a_r . j_s}."""
-    inv = _square_inverse(a, j)
-    n = a.modulus
-    k = len(a)
-    c = np.empty((k, k), dtype=complex)
-    for r, ap in enumerate(a.points):
-        for s, jp in enumerate(j.points):
-            exponent = sum(ac * jc for ac, jc in zip(ap, jp))
-            c[r, s] = k * inv[r, s] * omega_power(exponent, n)
-    return c
+    f = build_evaluation_matrix(a, j).entries
+    return _piece_coefficients(f, _checked_inverse(f))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +150,9 @@ class DualBasis:
 
     @classmethod
     def build(cls, base_domain: BoxDomain, a: FiniteSet, j: FiniteSet) -> "DualBasis":
-        return cls(finite_dual(a, j), dual_piece_coefficients(a, j), a, j, base_domain)
+        f = build_evaluation_matrix(a, j).entries
+        inv = _checked_inverse(f)
+        return cls(len(a) * inv, _piece_coefficients(f, inv), a, j, base_domain)
 
     @property
     def is_self_dual(self) -> bool:
@@ -185,29 +168,24 @@ class DualBasis:
         }
 
 
-def _annotated_points(spec: Spectrum, j: FiniteSet, radius) -> list[tuple[Vec, int]]:
-    """Combined spectrum points lambda + j_s/N within radius, tagged with s.
+def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
+    """Index s of each point of spec = base + J/N, so that point - j_s/N is in base.
 
-    ``spec`` is the base spectrum; the combined points are enumerated in
-    the same lexicographic order that ``enumerate_spectrum`` would give
-    on the shifted spectrum.
+    ``shift_spectrum`` lays the shifts out base-shift-major, shift
+    i = v_b + j_s/N with i = b #J + s; a point's tag is the index of the
+    shift it reduces to, mod #J.  The layout is checked exactly first, so
+    a spectrum built any other way raises instead of mislabelling points.
     """
-    r = to_fraction(radius)
-    n = j.modulus
-    shift_vectors = [tuple(Fraction(c, n) for c in p) for p in j.points]
-    pad = r + max(max(abs(c) for c in v) for v in shift_vectors)
-    base_points = enumerate_spectrum(spec, pad)
-    tagged: dict[Vec, int] = {}
-    for s, v in enumerate(shift_vectors):
-        for lam in base_points:
-            point = _exact.vec_add(lam, v)
-            if max(abs(c) for c in point) <= r:
-                if point in tagged:
-                    raise DuplicateSpectrumError(
-                        "combined spectrum repeats the point %s" % (point,)
-                    )
-                tagged[point] = s
-    return sorted(tagged.items())
+    m = len(j)
+    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
+    reduce = functools.partial(_exact.reduce_mod_lattice, spec.basis)
+    bases = [reduce(_exact.vec_sub(v, offsets[i % m])) for i, v in enumerate(spec.shifts)]
+    if len(bases) % m or any(bases[i] != bases[i - i % m] for i in range(len(bases))):
+        raise UnsupportedPairError(
+            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
+        )
+    index = {v: i for i, v in enumerate(spec.shifts)}
+    return [index[reduce(p)] % m for p in points]
 
 
 def verify_biorthogonality(
@@ -217,33 +195,23 @@ def verify_biorthogonality(
 
     The duals g are the piecewise multiples described in the module
     docstring; all inner products are evaluated analytically.  ``spec``
-    is the base spectrum (the lattice part), ``dom1`` the base domain.
+    is the base spectrum, ``dom1`` the base domain.
     """
     coeff = dual_piece_coefficients(a, j)
     translates = [dom1.translate(p) for p in a.points]
     measure = float(dom1.measure) * len(a)
-    tagged = _annotated_points(spec, j, radius)
+    combined = shift_spectrum(spec, j, j.modulus)
+    points = enumerate_spectrum(combined, radius)
+    tags = _shift_tags(combined, j, points)
     defect = 0.0
-    for mu, s_mu in tagged:
-        for nu, _ in tagged:
+    for mu, s_mu in zip(points, tags):
+        for nu in points:
             value = 0j
             for r in range(len(a.points)):
                 value += coeff[r, s_mu] * exp_inner_product(translates[r], mu, nu)
             target = measure if mu == nu else 0.0
             defect = max(defect, abs(value - target))
     return defect
-
-
-def _decompose_shift(spec: Spectrum, j: FiniteSet, point: Vec) -> int:
-    """Index s with point - j_s/N in the lattice of ``spec``."""
-    n = j.modulus
-    for s, jp in enumerate(j.points):
-        residue = tuple(c - Fraction(pc, n) for c, pc in zip(point, jp))
-        if _exact.is_integral(_exact.solve(spec.basis, residue)):
-            return s
-    raise UnsupportedPairError(
-        "spectrum point %s is not lattice + J/N; cannot attach a dual coefficient" % (point,)
-    )
 
 
 def reconstruct_function(
@@ -268,7 +236,7 @@ def reconstruct_function(
             "%d coefficients for %d enumerated spectrum points"
             % (coefficients.shape[0] if coefficients.ndim else 1, len(points))
         )
-    shift_index = np.array([_decompose_shift(spec, dual.j, p) for p in points])
+    shift_index = np.array(_shift_tags(spec, dual.j, points))
 
     grid = np.asarray(eval_grid, dtype=float)
     if dom.dimension == 1 and grid.ndim == 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -326,7 +327,8 @@ def _cmd_search(ns) -> int:
     return 0
 
 
-def _figure_pairs() -> dict[str, ContinuousPair]:
+def _figure_pairs() -> dict[str, tuple[ContinuousPair, tuple[str, ...]]]:
+    """Figure name -> (pair, the CSV files written for it: domain and/or points)."""
     fig2_a = FiniteSet.from_ints(4, [0, 2])
     fig2_j = FiniteSet.from_ints(4, [0, 1])
     base1 = ContinuousPair.orthogonal(
@@ -342,36 +344,34 @@ def _figure_pairs() -> dict[str, ContinuousPair]:
         FiniteSet(4, 2, ((0, 0), (2, 0))),
         FiniteSet(4, 2, ((0, 0), (1, 0))),
     ).pair
-    return {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig2}
+    both = ("domain", "spectrum")
+    return {
+        "fig1": (fig1, both),
+        "fig2": (fig2, both),
+        "fig3": (fig3, both),
+        "fig4": (fig2, ("pattern",)),  # fig2's spectrum as a sampling pattern
+    }
 
 
 def _cmd_figure(ns) -> int:
     pairs = _figure_pairs()
     if ns.name not in pairs:
         raise InputError("unknown figure %r (use fig1..fig4)" % ns.name)
-    pair = pairs[ns.name]
-    import os
-
+    pair, files = pairs[ns.name]
     os.makedirs(ns.out, exist_ok=True)
-    written = []
     # the window |x_i| <= 21/4 (1-d) or 13/4 (2-d) holds every figure spectrum
     # point B z + shift with lattice indices |z_i| <= 5 (1-d) or 3 (2-d)
     radius = Fraction(21, 4) if pair.domain.dimension == 1 else Fraction(13, 4)
-    points = enumerate_spectrum(pair.spectrum, radius)
     coord_names = ["x", "y", "z"][: pair.domain.dimension]
-    if ns.name != "fig4":
-        dom_path = os.path.join(ns.out, "%s_domain.csv" % ns.name)
-        header = ["lo_%s" % c for c in coord_names] + ["hi_%s" % c for c in coord_names]
-        rows = [
-            [str(c) for c in lo] + [str(c) for c in hi] for lo, hi in pair.domain.boxes
-        ]
-        _write_csv(dom_path, header, rows)
-        written.append(dom_path)
-    suffix = "pattern" if ns.name == "fig4" else "spectrum"
-    pts_path = os.path.join(ns.out, "%s_%s.csv" % (ns.name, suffix))
-    _write_csv(pts_path, coord_names, [[str(c) for c in p] for p in points])
-    written.append(pts_path)
-    for path in written:
+    for name in files:
+        path = os.path.join(ns.out, "%s_%s.csv" % (ns.name, name))
+        if name == "domain":
+            header = ["lo_%s" % c for c in coord_names] + ["hi_%s" % c for c in coord_names]
+            rows = [[str(c) for c in lo] + [str(c) for c in hi] for lo, hi in pair.domain.boxes]
+        else:
+            header = coord_names
+            rows = [[str(c) for c in p] for p in enumerate_spectrum(pair.spectrum, radius)]
+        _write_csv(path, header, rows)
         print(path)
     return 0
 

@@ -78,13 +78,15 @@ class BoxDomain:
             if not all(l < h for l, h in zip(lo, hi)):
                 raise ValueError("empty box: lo=%s hi=%s" % (lo, hi))
             norm.append((lo, hi))
-        first = min(_overlaps(norm), default=None)
-        if first is not None:
-            i, k = first
-            raise OverlapError(
+        overlaps = list(_overlaps(norm))
+        if overlaps:
+            i, k = min(overlaps)
+            error = OverlapError(
                 "boxes %d and %d intersect with positive measure" % (i, k),
                 offending=(norm[i], norm[k]),
             )
+            error._overlaps = overlaps  # every overlapping pair, for minkowski_translate
+            raise error
         object.__setattr__(self, "boxes", tuple(norm))
 
     @classmethod
@@ -180,12 +182,13 @@ class Spectrum:
             raise DimensionMismatchError(
                 "need %d lattice generators, got %d" % (self.dimension, len(basis))
             )
-        if _exact.det(basis) == 0:
-            raise NonInvertibleError("lattice generators are linearly dependent")
         shifts = tuple(to_vector(s, self.dimension) for s in self.shifts) or (
             tuple(Fraction(0) for _ in range(self.dimension)),
         )
-        reduced = tuple(_exact.reduce_mod_lattice(basis, s) for s in shifts)
+        try:
+            reduced = tuple(_exact.reduce_mod_lattice(basis, s) for s in shifts)
+        except ZeroDivisionError:
+            raise NonInvertibleError("lattice generators are linearly dependent") from None
         if len(set(reduced)) != len(reduced):
             seen = {}
             for orig, red in zip(shifts, reduced):
@@ -196,10 +199,6 @@ class Spectrum:
                 seen[red] = orig
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "shifts", reduced)
-
-    @property
-    def covolume(self) -> Fraction:
-        return abs(_exact.det(self.basis))
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,9 +246,9 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
     boxes = tuple((vec_add(lo, p), vec_add(hi, p)) for p in a.points for lo, hi in base.boxes)
     try:
         return BoxDomain(base.dimension, boxes)
-    except OverlapError:
+    except OverlapError as error:
         m = len(base.boxes)  # box i lies in the translate by a.points[i // m]
-        i, k = min((i // m, k // m) for i, k in _overlaps(boxes))
+        i, k = min((i // m, k // m) for i, k in error._overlaps)
         raise OverlapError(
             "translates by %s and %s overlap with positive measure" % (a.points[i], a.points[k]),
             offending=(a.points[i], a.points[k]),

@@ -19,6 +19,7 @@ from ._exact import omega_power
 from .errors import (
     DimensionMismatchError,
     InsufficientSpectrumError,
+    NonInvertibleError,
     SymmetryUndefinedError,
 )
 
@@ -159,6 +160,26 @@ def build_evaluation_matrix(a: FiniteSet, j: FiniteSet) -> EvaluationMatrix:
     return EvaluationMatrix(entries, j.points, a.points)
 
 
+def _checked_inverse(f: np.ndarray) -> np.ndarray:
+    """F^{-1} for a square evaluation matrix whose condition number is within the cap."""
+    if f.shape[0] != f.shape[1]:
+        raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
+    sigma = np.linalg.svd(f, compute_uv=False)
+    if sigma[-1] == 0 or sigma[0] / sigma[-1] > Tolerances().condition_cap:
+        raise NonInvertibleError("evaluation matrix is singular or ill-conditioned")
+    return np.linalg.inv(f)
+
+
+def _piece_coefficients(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Dual piece multipliers c[r, s] = k inv[r, s] F[s, r], F[s, r] = omega^{j_s . a_r}."""
+    k = f.shape[1]
+    c = np.empty((k, k), dtype=complex)
+    for r in range(k):
+        for s in range(k):
+            c[r, s] = k * inv[r, s] * f[s, r]
+    return c
+
+
 def _unitary_defect(f: np.ndarray) -> float:
     """max |F^H F - (#rows) I|: zero exactly when the columns of F are
     mutually orthogonal with squared norm #rows."""
@@ -232,9 +253,8 @@ def symbol_of_set(j: FiniteSet, k) -> complex:
     k = (k,) if isinstance(k, int) else tuple(int(c) for c in k)
     if len(k) != j.dimension:
         raise DimensionMismatchError("argument %r does not have dimension %d" % (k, j.dimension))
-    n = j.modulus
+    column = build_evaluation_matrix(FiniteSet(j.modulus, j.dimension, (k,)), j).entries[:, 0]
     total = 0j
-    for jp in j.points:
-        exponent = sum(jc * kc for jc, kc in zip(jp, k))
-        total += omega_power(exponent, n)
+    for term in column.tolist():
+        total += term
     return total

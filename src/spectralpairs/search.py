@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import dual_piece_coefficients
 from .errors import NonInvertibleError
 from .finite_pairs import (
     FiniteClassification,
     FiniteSet,
     PairKind,
     Tolerances,
+    _checked_inverse,
+    _piece_coefficients,
     _unitary_defect,
     build_evaluation_matrix,
     classify_finite_pair,
@@ -173,7 +174,7 @@ def hadamard_report(
         raise ValueError("hadamard check needs a square evaluation matrix")
     unitary_defect = _unitary_defect(f)
     try:
-        coeff_defect = float(np.abs(dual_piece_coefficients(a, j) - 1.0).max())
+        coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())
     except NonInvertibleError:
         coeff_defect = float("inf")
     return HadamardReport(

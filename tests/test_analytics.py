@@ -14,6 +14,7 @@ from spectralpairs import (
     PairKind,
     ShapeMismatchError,
     Spectrum,
+    UnsupportedPairError,
     build_evaluation_matrix,
     build_gram,
     classify_finite_pair,
@@ -231,14 +232,17 @@ class TestBiorthogonality:
         assert defect < 1e-8
 
     def test_internal_enumeration_matches_public_one(self, unit_base, golden_sets):
-        # the shift-tagged enumeration must list exactly the points that
-        # enumerate_spectrum yields on the combined spectrum, in order
-        from spectralpairs.analytics import _annotated_points
+        # every point enumerate_spectrum yields on the combined spectrum is
+        # tagged with the s for which point - j_s/N lies in the base Z
+        from spectralpairs.analytics import _shift_tags
 
         a, j = golden_sets
         combined = shift_spectrum(unit_base.spectrum, j, j.modulus)
-        tagged = _annotated_points(unit_base.spectrum, j, 4)
-        assert [p for p, _ in tagged] == enumerate_spectrum(combined, 4)
+        points = enumerate_spectrum(combined, 4)
+        tags = _shift_tags(combined, j, points)
+        assert len(tags) == len(points) == 17
+        for p, s in zip(points, tags):
+            assert (p[0] - Fraction(j.points[s][0], j.modulus)).denominator == 1
 
 
 class TestReconstructFunction:
@@ -300,6 +304,36 @@ class TestReconstructFunction:
         assert errors[1] < errors[0] * 1.05
         assert errors[2] < errors[1] * 1.05
         assert errors[2] < errors[0]
+
+    def test_iterated_construction_error_decays_with_radius(self, two_interval_pair):
+        # fig2 + A={0,4}, J={0,1} in Z_16: the base spectrum Z u Z+1/4 has two
+        # shifts, so a point's dual coefficient depends on its base shift too
+        a, j = FiniteSet.from_ints(16, [0, 4]), FiniteSet.from_ints(16, [0, 1])
+        pair = combine_riesz(two_interval_pair, a, j).pair
+        dual = DualBasis.build(two_interval_pair.domain, a, j)
+        grid = np.concatenate(
+            [float(lo[0]) + (np.arange(64) + 0.5) / 64 for lo, _ in pair.domain.boxes]
+        )
+        target = Fraction(1, 16)
+        truth = np.exp(2j * np.pi * float(target) * grid)
+        errors = []
+        for radius in (2, 4, 8):
+            points = enumerate_spectrum(pair.spectrum, radius)
+            coeffs = [exp_inner_product(pair.domain, target, p) for p in points]
+            values = reconstruct_function(
+                pair.domain, pair.spectrum, dual, coeffs, grid, radius=radius
+            )
+            errors.append(float(np.sqrt(np.mean(np.abs(values - truth) ** 2))))
+        assert errors[2] < errors[1] < errors[0]
+
+    def test_shifts_out_of_layout_rejected(self, unit_base, two_interval_sets):
+        pair, dual, points = self._setup(unit_base, two_interval_sets, 2)
+        spec = pair.spectrum
+        reordered = Spectrum(spec.dimension, spec.basis, tuple(reversed(spec.shifts)))
+        with pytest.raises(UnsupportedPairError):
+            reconstruct_function(
+                pair.domain, reordered, dual, np.ones(len(points)), np.array([0.5]), radius=2
+            )
 
     def test_coefficient_count_checked(self, unit_base, golden_sets):
         pair, dual, points = self._setup(unit_base, golden_sets, 2)
