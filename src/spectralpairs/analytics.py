@@ -40,10 +40,7 @@ from .finite_pairs import (
     build_evaluation_matrix,
 )
 
-_TWO_PI = 2.0 * math.pi
 
-
-@functools.lru_cache(maxsize=1 << 16)
 def _interval_factor(nu: Fraction, lo: Fraction, hi: Fraction) -> complex:
     """Integral of e^{2 pi i nu x} over [lo, hi)."""
     if nu == 0:
@@ -51,18 +48,52 @@ def _interval_factor(nu: Fraction, lo: Fraction, hi: Fraction) -> complex:
     return (cis(nu * hi) - cis(nu * lo)) / (2j * math.pi * float(nu))
 
 
+def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
+    """M[i, k] = <e_rows[i], e_cols[k]> over the domain, for rational vectors.
+
+    An entry is a sum over boxes of products over axes of 1-d factors of
+    the coordinate difference.  The closed form is evaluated once per
+    distinct difference (integers over the axis's common denominator;
+    Python ints from 2**62 on), box and axis, then gathered by index.
+    Products and sums are written out in real arithmetic in the order of
+    ``term = complex(1.0); term *= factor; total += term``, so every entry
+    has the bits of that scalar evaluation.
+    """
+    n, m = len(rows), len(cols)
+    tables = []
+    for k in range(dom.dimension):
+        coords = [p[k] for p in rows] + [p[k] for p in cols]
+        scale = math.lcm(*(c.denominator for c in coords))
+        nums = [c.numerator * (scale // c.denominator) for c in coords]
+        nums = np.array(nums, dtype=np.int64 if max(map(abs, nums)) < 1 << 62 else object)
+        diffs, index = np.unique(np.subtract.outer(nums[:n], nums[n:]), return_inverse=True)
+        factors = [[_interval_factor(Fraction(u, scale), lo[k], hi[k]) for u in diffs.tolist()]
+                   for lo, hi in dom.boxes]
+        table = np.array(factors, dtype=complex)
+        tables.append((table.real, table.imag, index.reshape(n, m)))
+    total = np.zeros((n, m), dtype=complex)
+    for b in range(len(dom.boxes)):
+        re, im = np.ones((n, m)), np.zeros((n, m))
+        for table_re, table_im, index in tables:
+            fr, fi = table_re[b][index], table_im[b][index]
+            re, im = re * fr - im * fi, re * fi + im * fr
+        total.real += re
+        total.imag += im
+    return total
+
+
 def exp_inner_product(dom: BoxDomain, lam, mu) -> complex:
     """<e_lam, e_mu> over the domain, i.e. the integral of e^{2 pi i (lam-mu).x}."""
-    lam = to_vector(lam, dom.dimension)
-    mu = to_vector(mu, dom.dimension)
-    nu = _exact.vec_sub(lam, mu)
-    total = 0j
-    for lo, hi in dom.boxes:
-        term = complex(1.0)
-        for k in range(dom.dimension):
-            term *= _interval_factor(nu[k], lo[k], hi[k])
-        total += term
-    return total
+    d = dom.dimension
+    return complex(_inner_products(dom, [to_vector(lam, d)], [to_vector(mu, d)])[0, 0])
+
+
+def _window(spec: Spectrum, radius) -> list[Vec]:
+    """The spectrum points within the sup-norm radius; raises if there are none."""
+    points = enumerate_spectrum(spec, radius)
+    if not points:
+        raise EmptySpectrumError("no spectrum points within radius %s" % radius)
+    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,25 +116,16 @@ class GramMatrix:
     def to_json_dict(self) -> dict:
         return {
             "points": [[str(c) for c in p] for p in self.points],
-            "entries": [
-                [[z.real, z.imag] for z in row] for row in self.entries
-            ],
+            "entries": [[[z.real, z.imag] for z in row] for row in self.entries.tolist()],
         }
 
 
 def build_gram(dom: BoxDomain, spec: Spectrum, radius) -> GramMatrix:
     """Gram matrix of all spectrum points within the given sup-norm radius."""
-    points = enumerate_spectrum(spec, radius)
-    if not points:
-        raise EmptySpectrumError("no spectrum points within radius %s" % radius)
-    n = len(points)
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        entries[i, i] = exp_inner_product(dom, points[i], points[i])
-        for k in range(i + 1, n):
-            val = exp_inner_product(dom, points[i], points[k])
-            entries[i, k] = val
-            entries[k, i] = val.conjugate()
+    points = _window(spec, radius)
+    entries = _inner_products(dom, points, points)
+    lower = np.tril_indices(len(points), -1)
+    entries[lower] = entries.T[lower].conj()  # exactly Hermitian: the upper triangle, conjugated
     return GramMatrix(tuple(points), entries)
 
 
@@ -113,13 +135,22 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     For a Riesz basis these sit inside the true Riesz bounds at every
     truncation and converge to them; for non-orthogonal pairs they are
     estimates, not certificates.  Eigenvalues below 1e-12 report as 0.
+    The windows are nested, so one Gram matrix at the largest radius
+    serves all of them through its principal submatrices.
     """
     radii = list(radii)
-    if any(to_fraction(r2) <= to_fraction(r1) for r1, r2 in zip(radii, radii[1:])):
+    bounds = [to_fraction(r) for r in radii]
+    if any(r2 <= r1 for r1, r2 in zip(bounds, bounds[1:])):
         raise ValueError("radii must be strictly increasing")
+    if not radii:
+        return []
+    _window(spec, radii[0])  # the smallest radius raises as its own Gram matrix would
+    gram = build_gram(dom, spec, radii[-1])
+    norms = [max(map(abs, p)) for p in gram.points]
     out = []
-    for r in radii:
-        eigs = build_gram(dom, spec, r).eigenvalues()
+    for r in bounds:
+        keep = [i for i, s in enumerate(norms) if s <= r]
+        eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
         low = float(eigs[0])
         if low < 1e-12:
             low = 0.0
@@ -160,9 +191,9 @@ class DualBasis:
 
     def to_json_dict(self) -> dict:
         return {
-            "finite_dual": [[[z.real, z.imag] for z in row] for row in self.finite_dual],
+            "finite_dual": [[[z.real, z.imag] for z in row] for row in self.finite_dual.tolist()],
             "piece_coefficients": [
-                [[z.real, z.imag] for z in row] for row in self.piece_coefficients
+                [[z.real, z.imag] for z in row] for row in self.piece_coefficients.tolist()
             ],
             "self_dual": self.is_self_dual,
         }
@@ -198,20 +229,19 @@ def verify_biorthogonality(
     is the base spectrum, ``dom1`` the base domain.
     """
     coeff = dual_piece_coefficients(a, j)
-    translates = [dom1.translate(p) for p in a.points]
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
-    points = enumerate_spectrum(combined, radius)
+    points = _window(combined, radius)
     tags = _shift_tags(combined, j, points)
-    defect = 0.0
-    for mu, s_mu in zip(points, tags):
-        for nu in points:
-            value = 0j
-            for r in range(len(a.points)):
-                value += coeff[r, s_mu] * exp_inner_product(translates[r], mu, nu)
-            target = measure if mu == nu else 0.0
-            defect = max(defect, abs(value - target))
-    return defect
+    n = len(points)
+    value = np.zeros((n, n), dtype=complex)
+    for r, p in enumerate(a.points):
+        c = coeff[r, tags][:, None]
+        m = _inner_products(dom1.translate(p), points, points)
+        value.real += c.real * m.real - c.imag * m.imag
+        value.imag += c.real * m.imag + c.imag * m.real
+    value.real[np.diag_indices(n)] -= measure
+    return float(np.hypot(value.real, value.imag).max())
 
 
 def reconstruct_function(
@@ -229,7 +259,7 @@ def reconstruct_function(
     spectrum and ``dom`` the combined domain.  Grid points outside the
     domain evaluate to 0.
     """
-    points = enumerate_spectrum(spec, radius)
+    points = _window(spec, radius)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(points),):
         raise ShapeMismatchError(

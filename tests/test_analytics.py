@@ -118,6 +118,15 @@ class TestFrameBounds:
     def test_empty_radii(self, two_interval_pair):
         assert estimate_frame_bounds(two_interval_pair.domain, two_interval_pair.spectrum, []) == []
 
+    def test_empty_smallest_window_raises(self):
+        spec = Spectrum(1, (("1",),), (("1/2",),))
+        with pytest.raises(EmptySpectrumError, match="radius 1/4"):
+            estimate_frame_bounds(BoxDomain.interval(0, 1), spec, [Fraction(1, 4), 2])
+
+    def test_negative_radius_rejected(self, two_interval_pair):
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_frame_bounds(two_interval_pair.domain, two_interval_pair.spectrum, [-1, 2])
+
     def test_radii_must_increase(self, two_interval_pair):
         with pytest.raises(ValueError):
             estimate_frame_bounds(two_interval_pair.domain, two_interval_pair.spectrum, [3, 2])
@@ -231,6 +240,16 @@ class TestBiorthogonality:
         defect = verify_biorthogonality(base_dom, integer_lattice(2), a, j, 2)
         assert defect < 1e-8
 
+    def test_returns_python_float(self, unit_base, golden_sets):
+        a, j = golden_sets
+        assert type(verify_biorthogonality(unit_base.domain, unit_base.spectrum, a, j, 2)) is float
+
+    def test_empty_window_raises(self, unit_base):
+        # Z + {1/4, 1/2} has no point of sup-norm 0: no certificate over no points
+        a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [1, 2])
+        with pytest.raises(EmptySpectrumError, match="radius 0"):
+            verify_biorthogonality(unit_base.domain, unit_base.spectrum, a, j, 0)
+
     def test_internal_enumeration_matches_public_one(self, unit_base, golden_sets):
         # every point enumerate_spectrum yields on the combined spectrum is
         # tagged with the s for which point - j_s/N lies in the base Z
@@ -334,6 +353,13 @@ class TestReconstructFunction:
             reconstruct_function(
                 pair.domain, reordered, dual, np.ones(len(points)), np.array([0.5]), radius=2
             )
+
+    def test_empty_window_raises(self, unit_base):
+        a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [1, 2])
+        pair = combine_orthogonal(unit_base, a, j).pair
+        dual = DualBasis.build(unit_base.domain, a, j)
+        with pytest.raises(EmptySpectrumError, match="radius 0"):
+            reconstruct_function(pair.domain, pair.spectrum, dual, [], np.array([0.5]), radius=0)
 
     def test_coefficient_count_checked(self, unit_base, golden_sets):
         pair, dual, points = self._setup(unit_base, golden_sets, 2)

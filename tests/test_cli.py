@@ -150,6 +150,13 @@ class TestAnalyticsCommands:
                     "--radius", "2", "--out", str(bio_out)]) == 0
         assert read_json(bio_out)["max_defect"] < 1e-8
 
+    def test_biorth_empty_window_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "bio.json"
+        assert run(["biorth", "--N", "4", "--A", "0,2", "--J", "1,2",
+                    "--radius", "0", "--out", str(out)]) == 1
+        assert "input error: no spectrum points within radius 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dual_csv(self, tmp_path):
         table = tmp_path / "coeff.csv"
         run(["dual", "--N", "4", "--A", "0,2", "--J", "0,1",

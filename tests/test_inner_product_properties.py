@@ -1,0 +1,207 @@
+"""Differential tests: the array inner-product kernel against the scalar closed form.
+
+``build_gram``, ``estimate_frame_bounds``, ``verify_biorthogonality`` and
+``exp_inner_product`` evaluate <e_lam, e_mu> over a box union through one
+array kernel.  The references below are the per-entry scalar path it
+replaced: the closed form per axis and box, multiplied into
+``complex(1.0)`` and summed box by box, one entry at a time.  The kernel
+must reproduce those floats bit for bit, not just to a tolerance.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spectralpairs import (
+    BoxDomain,
+    DuplicateSpectrumError,
+    FiniteSet,
+    NonInvertibleError,
+    Spectrum,
+    build_gram,
+    dual_piece_coefficients,
+    enumerate_spectrum,
+    estimate_frame_bounds,
+    exp_inner_product,
+    shift_spectrum,
+    verify_biorthogonality,
+)
+from spectralpairs._exact import cis
+from spectralpairs.analytics import _shift_tags
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def reference_interval_factor(nu, lo, hi):
+    """Integral of e^{2 pi i nu x} over [lo, hi)."""
+    if nu == 0:
+        return complex(float(hi - lo))
+    return (cis(nu * hi) - cis(nu * lo)) / (2j * math.pi * float(nu))
+
+
+def reference_inner_product(dom, lam, mu):
+    nu = tuple(a - b for a, b in zip(lam, mu))
+    total = 0j
+    for lo, hi in dom.boxes:
+        term = complex(1.0)
+        for k in range(dom.dimension):
+            term *= reference_interval_factor(nu[k], lo[k], hi[k])
+        total += term
+    return total
+
+
+def reference_gram(dom, spec, radius):
+    points = enumerate_spectrum(spec, radius)
+    n = len(points)
+    entries = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        entries[i, i] = reference_inner_product(dom, points[i], points[i])
+        for k in range(i + 1, n):
+            val = reference_inner_product(dom, points[i], points[k])
+            entries[i, k] = val
+            entries[k, i] = val.conjugate()
+    return entries
+
+
+def reference_bounds(dom, spec, radii):
+    out = []
+    for r in radii:
+        eigs = np.linalg.eigvalsh(reference_gram(dom, spec, r))
+        low = float(eigs[0])
+        out.append((0.0 if low < 1e-12 else low, float(eigs[-1])))
+    return out
+
+
+def reference_biorthogonality(dom1, spec, a, j, radius):
+    coeff = dual_piece_coefficients(a, j)
+    translates = [dom1.translate(p) for p in a.points]
+    measure = float(dom1.measure) * len(a)
+    combined = shift_spectrum(spec, j, j.modulus)
+    points = enumerate_spectrum(combined, radius)
+    tags = _shift_tags(combined, j, points)
+    defect = 0.0
+    for mu, s_mu in zip(points, tags):
+        for nu in points:
+            value = 0j
+            for r in range(len(a.points)):
+                value += coeff[r, s_mu] * reference_inner_product(translates[r], mu, nu)
+            target = measure if mu == nu else 0.0
+            defect = max(defect, abs(value - target))
+    return defect
+
+
+def bits(z):
+    return np.array(z, dtype=complex).tobytes()
+
+
+@st.composite
+def domains(draw, dimension):
+    """Up to four boxes, disjoint along the first axis, with rational corners."""
+    cuts = sorted(draw(st.sets(RATIONALS, min_size=2, max_size=8)))
+    boxes = []
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        rest = [sorted(draw(st.sets(RATIONALS, min_size=2, max_size=2)))
+                for _ in range(dimension - 1)]
+        boxes.append(((lo, *(c[0] for c in rest)), (hi, *(c[1] for c in rest))))
+    return BoxDomain(dimension, tuple(boxes))
+
+
+@st.composite
+def spectra(draw, dimension):
+    """A lattice with positive rational diagonal (sheared in 2-d) and 1-3 shifts."""
+    scales = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(dimension)]
+    basis = [[scales[k] if i == k else Fraction(0) for k in range(dimension)]
+             for i in range(dimension)]
+    if dimension == 2:
+        basis[1][0] = draw(RATIONALS)
+    shifts = draw(st.lists(st.tuples(*[RATIONALS] * dimension), min_size=1, max_size=3))
+    try:
+        return Spectrum(dimension, tuple(map(tuple, basis)), tuple(shifts))
+    except DuplicateSpectrumError:
+        assume(False)
+
+
+@st.composite
+def domain_and_spectrum(draw):
+    d = draw(st.sampled_from([1, 2]))
+    radius = draw(st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2, 3] if d == 1
+                                  else [Fraction(1, 2), 1, Fraction(3, 2)]))
+    return draw(domains(d)), draw(spectra(d)), radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain_and_spectrum())
+def test_gram_entries_are_bit_identical(case):
+    dom, spec, radius = case
+    assume(0 < len(enumerate_spectrum(spec, radius)) <= 60)
+    got = build_gram(dom, spec, radius).entries
+    assert got.tobytes() == reference_gram(dom, spec, radius).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(domain_and_spectrum(), st.sampled_from([Fraction(1, 2), 1]))
+def test_nested_bounds_equal_per_radius_grams(case, first):
+    dom, spec, radius = case
+    radii = sorted({first, Fraction(radius)})
+    assume(enumerate_spectrum(spec, radii[0]) and len(enumerate_spectrum(spec, radii[-1])) <= 40)
+    assert estimate_frame_bounds(dom, spec, radii) == reference_bounds(dom, spec, radii)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exp_inner_product_is_bit_identical(data):
+    d = data.draw(st.sampled_from([1, 2]))
+    dom = data.draw(domains(d))
+    lam, mu = (data.draw(st.tuples(*[RATIONALS] * d)) for _ in range(2))
+    got = exp_inner_product(dom, lam, mu)
+    assert type(got) is complex
+    assert bits(got) == bits(reference_inner_product(dom, lam, mu))
+
+
+@st.composite
+def biorthogonal_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(3, n ** d)))
+    elements = st.tuples(*[st.integers(0, n - 1)] * d)
+    a = FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=k, max_size=k, unique=True))))
+    j = FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=k, max_size=k, unique=True))))
+    try:
+        dual_piece_coefficients(a, j)
+        spec = draw(spectra(d))
+        shift_spectrum(spec, j, n)
+    except (NonInvertibleError, DuplicateSpectrumError):
+        assume(False)
+    radius = draw(st.sampled_from([1, 2] if d == 1 else [Fraction(1, 2), 1]))
+    combined = shift_spectrum(spec, j, n)
+    assume(0 < len(enumerate_spectrum(combined, radius)) <= 40)
+    return draw(domains(d)), spec, a, j, radius
+
+
+@settings(max_examples=100, deadline=None)
+@given(biorthogonal_cases())
+def test_biorthogonality_defect_equals_triple_loop(case):
+    dom1, spec, a, j, radius = case
+    got = verify_biorthogonality(dom1, spec, a, j, radius)
+    assert type(got) is float
+    assert got == reference_biorthogonality(dom1, spec, a, j, radius)
+
+
+def test_numerators_past_2_62_take_python_ints():
+    # shifts over 2**31 and 3**20: over their common denominator the points
+    # of sup-norm 1 have numerators in [2**62, 2**63), whose differences
+    # int64 cannot hold
+    den = 2**31 * 3**20
+    assert 2**62 <= den < 2**63
+    spec = Spectrum(1, ((1,),), ((0,), (Fraction(1, 2**31),), (Fraction(1, 3**20),)))
+    dom = BoxDomain.from_boxes([(0, Fraction(1, 2)), (1, Fraction(5, 3))])
+    assert max(abs(p[0]) for p in enumerate_spectrum(spec, 1)) == 1
+    assert build_gram(dom, spec, 1).entries.tobytes() == reference_gram(dom, spec, 1).tobytes()
+    radii = [Fraction(1, 2), 1]
+    assert estimate_frame_bounds(dom, spec, radii) == reference_bounds(dom, spec, radii)
+    a, j = FiniteSet.from_ints(5, [0, 2]), FiniteSet.from_ints(5, [0, 1])
+    defect = verify_biorthogonality(dom, spec, a, j, 1)
+    assert defect == reference_biorthogonality(dom, spec, a, j, 1)
