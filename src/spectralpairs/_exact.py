@@ -1,11 +1,11 @@
-"""Exact rational phases and small rational linear algebra.
+"""Exact rational phases, their one evaluation kernel, and small rational linear algebra.
 
 All geometry in this package is carried by ``fractions.Fraction``;
-floating point enters only at the final evaluation of a complex
-exponential.  Phases are reduced mod 1 *before* exponentiation, so a
-root of unity never accumulates error, and the quarter phases
-(0, 1/4, 1/2, 3/4) are returned as exact unit values.  This is what
-lets cancellations like 1 + e^{i pi} come out as literal zeros.
+floating point enters only in ``cis``, which evaluates every phase as an
+integer over a common denominator, reduced mod the denominator *before*
+exponentiation: a root of unity never accumulates error, and the quarter
+phases are exact, so cancellations like 1 + e^{i pi} come out as literal
+zeros.  ``mul`` and ``over_2pi_i`` round like Python's complex scalars.
 """
 
 from __future__ import annotations
@@ -13,30 +13,56 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-_QUARTER_PHASES = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+
+def int_array(values, bound: int) -> np.ndarray:
+    """``values`` as int64, or as Python ints (dtype object) once ``bound``, a
+    bound on every integer formed from them (products, sums, moduli), reaches 2**62."""
+    return np.array(values, dtype=np.int64 if bound < 1 << 62 else object)
 
 
-def cis(q) -> complex:
-    """e^{2 pi i q} for rational q, reduced mod 1 before exponentiating."""
-    q = Fraction(q) % 1
-    exact = _QUARTER_PHASES.get(q)
-    if exact is not None:
-        return exact
-    t = 2.0 * math.pi * float(q)
-    return complex(math.cos(t), math.sin(t))
+def cis(nums, den: int) -> np.ndarray:
+    """e^{2 pi i nums/den} for an integer array ``nums`` of any shape.
+
+    Each numerator is reduced mod ``den`` and each distinct residue u is
+    evaluated once: exactly 1, i, -1, -i at the quarter phases, otherwise
+    cos and sin of 2 pi (u/den), where u/den, a quotient of Python ints,
+    is correctly rounded.
+    """
+    nums = np.asarray(nums)
+    residues, index = np.unique(nums % den, return_inverse=True)
+    table = np.empty(len(residues), dtype=complex)
+    for i, u in enumerate(residues.tolist()):
+        quarter, rest = divmod(4 * u, den)
+        if rest == 0:
+            table[i] = (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
+        else:
+            t = 2.0 * math.pi * (u / den)
+            table[i] = complex(math.cos(t), math.sin(t))
+    return table[index].reshape(nums.shape)
 
 
-def omega_power(exponent: int, modulus: int) -> complex:
-    """omega^e for omega = e^{-2 pi i / modulus}, exponent reduced mod modulus."""
-    return cis(Fraction(-(exponent % modulus), modulus))
+def mul(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as Python multiplies complex numbers (numpy's
+    complex product may differ in the last bit); a real operand has imaginary part 0.0."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def over_2pi_i(a, t) -> np.ndarray:
+    """a / (2j * math.pi * t) elementwise for nonzero float t, rounded as Python
+    divides complex numbers: that divisor has a zero real part, so the ratio is +0.0."""
+    w = 2.0 * math.pi * t
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(w)), dtype=complex)
+    out.real = (a.real * 0.0 + a.imag) / w
+    out.imag = (a.imag * 0.0 - a.real) / w
+    return out
 
 
 def to_fraction(x) -> Fraction:

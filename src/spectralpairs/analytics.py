@@ -3,8 +3,8 @@
 Every inner product of exponentials over a box union is evaluated from
 the closed-form antiderivative, never by quadrature: the orthogonality
 certificates downstream are at the 1e-10 level and quadrature noise
-would drown them.  Rational phase arguments are reduced mod 1 before
-exponentiation (see ``_exact.cis``), so many cancellations are exact.
+would drown them.  Every rational phase goes through the one kernel
+``_exact.cis``, reduced before exponentiation, so many cancellations are exact.
 
 For a square invertible evaluation matrix F on (A, J), #A = k, the dual
 system data are
@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import Vec, cis, to_fraction, to_vector
+from ._exact import Vec, to_fraction, to_vector
 from .domains import BoxDomain, Spectrum, enumerate_spectrum, shift_spectrum
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
@@ -41,11 +41,16 @@ from .finite_pairs import (
 )
 
 
-def _interval_factor(nu: Fraction, lo: Fraction, hi: Fraction) -> complex:
-    """Integral of e^{2 pi i nu x} over [lo, hi)."""
-    if nu == 0:
-        return complex(float(hi - lo))
-    return (cis(nu * hi) - cis(nu * lo)) / (2j * math.pi * float(nu))
+def _interval_factor(diffs: np.ndarray, scale: int, lo: Fraction, hi: Fraction) -> np.ndarray:
+    """Integral of e^{2 pi i nu x} over [lo, hi) for each nu = diffs/scale:
+    (cis(nu hi) - cis(nu lo)) / (2 pi i nu), and hi - lo at nu = 0."""
+    top = (_exact.cis(diffs * hi.numerator, scale * hi.denominator)
+           - _exact.cis(diffs * lo.numerator, scale * lo.denominator))
+    nu, zero = (diffs / scale).astype(float), diffs == 0  # float(nu), correctly rounded
+    nu[zero] = 1.0
+    out = _exact.over_2pi_i(top, nu)
+    out[zero] = float(hi - lo)
+    return out
 
 
 def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
@@ -53,9 +58,8 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
 
     An entry is a sum over boxes of products over axes of 1-d factors of
     the coordinate difference.  The closed form is evaluated once per
-    distinct difference (integers over the axis's common denominator;
-    Python ints from 2**62 on), box and axis, then gathered by index.
-    Products and sums are written out in real arithmetic in the order of
+    distinct difference (integers over the axis's common denominator),
+    box and axis, then gathered by index and combined in the order of
     ``term = complex(1.0); term *= factor; total += term``, so every entry
     has the bits of that scalar evaluation.
     """
@@ -65,20 +69,17 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
         coords = [p[k] for p in rows] + [p[k] for p in cols]
         scale = math.lcm(*(c.denominator for c in coords))
         nums = [c.numerator * (scale // c.denominator) for c in coords]
-        nums = np.array(nums, dtype=np.int64 if max(map(abs, nums)) < 1 << 62 else object)
+        nums = _exact.int_array(nums, 2 * max(map(abs, nums)))
         diffs, index = np.unique(np.subtract.outer(nums[:n], nums[n:]), return_inverse=True)
-        factors = [[_interval_factor(Fraction(u, scale), lo[k], hi[k]) for u in diffs.tolist()]
-                   for lo, hi in dom.boxes]
-        table = np.array(factors, dtype=complex)
-        tables.append((table.real, table.imag, index.reshape(n, m)))
+        diffs = diffs.astype(object)  # the few distinct values take exact products with the corners
+        factors = [_interval_factor(diffs, scale, lo[k], hi[k]) for lo, hi in dom.boxes]
+        tables.append((factors, index.reshape(n, m)))
     total = np.zeros((n, m), dtype=complex)
     for b in range(len(dom.boxes)):
-        re, im = np.ones((n, m)), np.zeros((n, m))
-        for table_re, table_im, index in tables:
-            fr, fi = table_re[b][index], table_im[b][index]
-            re, im = re * fr - im * fi, re * fi + im * fr
-        total.real += re
-        total.imag += im
+        term = np.ones((n, m), dtype=complex)
+        for factors, index in tables:
+            term = _exact.mul(term, factors[b][index])
+        total += term
     return total
 
 
@@ -236,10 +237,8 @@ def verify_biorthogonality(
     n = len(points)
     value = np.zeros((n, n), dtype=complex)
     for r, p in enumerate(a.points):
-        c = coeff[r, tags][:, None]
         m = _inner_products(dom1.translate(p), points, points)
-        value.real += c.real * m.real - c.imag * m.imag
-        value.imag += c.real * m.imag + c.imag * m.real
+        value += _exact.mul(coeff[r, tags][:, None], m)
     value.real[np.diag_indices(n)] -= measure
     return float(np.hypot(value.real, value.imag).max())
 
@@ -274,12 +273,11 @@ def reconstruct_function(
     if grid.ndim != 2 or grid.shape[1] != dom.dimension:
         raise ShapeMismatchError("evaluation grid must be (m, %d) points" % dom.dimension)
 
-    translates = [dual.base_domain.translate(p) for p in dual.a.points]
-    piece = np.full(len(grid), -1, dtype=int)
-    for r, t in enumerate(translates):
-        for g_idx in range(len(grid)):
-            if piece[g_idx] < 0 and t.contains(grid[g_idx]):
-                piece[g_idx] = r
+    piece = np.full(len(grid), -1, dtype=int)  # the first translate holding the point
+    for r, p in enumerate(dual.a.points):
+        for lo, hi in dual.base_domain.translate(p).boxes:
+            lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+            piece[(piece < 0) & np.all((lo <= grid) & (grid < hi), axis=1)] = r
 
     freq = np.array([[float(c) for c in p] for p in points])
     phases = np.exp(2j * np.pi * (grid @ freq.T))

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._exact import omega_power
+from ._exact import cis, int_array, mul
 from .errors import (
     DimensionMismatchError,
     InsufficientSpectrumError,
@@ -109,15 +109,9 @@ class FiniteSet:
 
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
-    """The (#J x #A) matrix [omega^{j.a}] together with its row/column labels."""
+    """The (#J x #A) matrix [omega^{j.a}], rows in the order of J's points, columns in A's."""
 
     entries: np.ndarray
-    row_index: tuple[tuple[int, ...], ...]  # points of J
-    col_index: tuple[tuple[int, ...], ...]  # points of A
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 @dataclass(frozen=True)
@@ -151,13 +145,9 @@ def _require_compatible(a: FiniteSet, j: FiniteSet) -> None:
 def build_evaluation_matrix(a: FiniteSet, j: FiniteSet) -> EvaluationMatrix:
     """Evaluation matrix with rows indexed by J and columns by A."""
     _require_compatible(a, j)
-    n = a.modulus
-    entries = np.empty((len(j), len(a)), dtype=complex)
-    for s, jp in enumerate(j.points):
-        for r, ap in enumerate(a.points):
-            exponent = sum(jc * ac for jc, ac in zip(jp, ap))
-            entries[s, r] = omega_power(exponent, n)
-    return EvaluationMatrix(entries, j.points, a.points)
+    n, d = a.modulus, a.dimension
+    jm, am = (int_array(s.points, d * n * n).reshape(len(s), d) for s in (j, a))
+    return EvaluationMatrix(cis(-(jm @ am.T), n))
 
 
 def _checked_inverse(f: np.ndarray) -> np.ndarray:
@@ -172,12 +162,7 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
 
 def _piece_coefficients(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Dual piece multipliers c[r, s] = k inv[r, s] F[s, r], F[s, r] = omega^{j_s . a_r}."""
-    k = f.shape[1]
-    c = np.empty((k, k), dtype=complex)
-    for r in range(k):
-        for s in range(k):
-            c[r, s] = k * inv[r, s] * f[s, r]
-    return c
+    return mul(f.shape[1] * inv, f.T)
 
 
 def _unitary_defect(f: np.ndarray) -> float:
@@ -218,15 +203,13 @@ def classify_finite_pair(
     return FiniteClassification(kind, lower, upper, condition)
 
 
-def check_mutual_orthogonality(
-    a: FiniteSet, j: FiniteSet, tolerance: float = Tolerances().unitary
-) -> bool:
+def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:
     """True iff sum_{a in A} e^{2 pi i (j - j').a / N} vanishes for all j != j'.
 
     Those sums are the off-diagonal entries of F F^H (rows of F indexed
     by J), whose diagonal is #A.
     """
-    return _unitary_defect(build_evaluation_matrix(a, j).entries.T) < tolerance
+    return _unitary_defect(build_evaluation_matrix(a, j).entries.T) < Tolerances().unitary
 
 
 def transpose_pair(

@@ -165,13 +165,12 @@ class HadamardReport:
         }
 
 
-def hadamard_report(
-    a: FiniteSet, j: FiniteSet, tolerance: float = Tolerances().unitary
-) -> HadamardReport:
+def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:
     """Unitarity (up to scale) of the evaluation matrix and self-duality of the pair."""
     f = build_evaluation_matrix(a, j).entries
     if f.shape[0] != f.shape[1]:
         raise ValueError("hadamard check needs a square evaluation matrix")
+    tolerance = Tolerances().unitary
     unitary_defect = _unitary_defect(f)
     try:
         coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())

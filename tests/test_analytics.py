@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from spectralpairs import (
     finite_dual,
     integer_lattice,
     reconstruct_function,
+    scaled_lattice,
     shift_spectrum,
     verify_biorthogonality,
 )
@@ -300,6 +302,44 @@ class TestReconstructFunction:
             pair.domain, pair.spectrum, dual, np.ones(len(points)), np.array([1.5]), radius=2
         )
         assert values[0] == 0
+
+    @staticmethod
+    def _piece_value(spec, dual, radius, x, r):
+        """The unit-coefficient expansion at x with translate r's multipliers."""
+        from spectralpairs.analytics import _shift_tags
+
+        points = enumerate_spectrum(spec, radius)
+        tags = _shift_tags(spec, dual.j, points)
+        return sum(
+            np.exp(2j * np.pi * float(p[0]) * x) * dual.piece_coefficients[r, s]
+            for p, s in zip(points, tags)
+        ) / 2
+
+    def test_grid_points_take_the_first_translate_holding_them(self, unit_base):
+        # translates [0,1) and [1,2) touch: the half-open boxes put 0 in the
+        # first, 1 in the second, and 2 outside the domain
+        a, j = FiniteSet.from_ints(5, [0, 1]), FiniteSet.from_ints(5, [0, 2])
+        pair, dual, points = self._setup(unit_base, (a, j), 2)
+        values = reconstruct_function(
+            pair.domain, pair.spectrum, dual, np.ones(len(points)), np.array([0.0, 1.0, 2.0]),
+            radius=2,
+        )
+        value = functools.partial(self._piece_value, pair.spectrum, dual, 2)
+        assert abs(values[0] - value(0.0, 0)) < 1e-12
+        assert abs(values[1] - value(1.0, 1)) < 1e-12
+        assert abs(values[1] - value(1.0, 0)) > 1e-3
+        assert values[2] == 0
+
+    def test_overlapping_translates_give_the_point_to_the_first(self):
+        # [0,2) and [1,3) share [1,2), where translate 0's multipliers apply
+        base = BoxDomain.interval(0, 2)
+        a, j = FiniteSet.from_ints(5, [0, 1]), FiniteSet.from_ints(5, [0, 2])
+        spec = shift_spectrum(scaled_lattice(1, Fraction(1, 2)), j, 5)
+        dual = DualBasis.build(base, a, j)
+        ones = np.ones(len(enumerate_spectrum(spec, 1)))
+        value = reconstruct_function(base, spec, dual, ones, np.array([1.5]), radius=1)[0]
+        assert abs(value - self._piece_value(spec, dual, 1, 1.5, 0)) < 1e-12
+        assert abs(value - self._piece_value(spec, dual, 1, 1.5, 1)) > 1e-3
 
     def test_indicator_error_decays_with_radius(self, unit_base, two_interval_sets):
         a, j = two_interval_sets

@@ -1,49 +1,104 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scalar_phases import cis as scalar_cis
 
+from spectralpairs import FiniteSet, build_evaluation_matrix
 from spectralpairs._exact import (
     cis,
     dot,
+    int_array,
     inverse,
     lattice_point,
-    omega_power,
+    mul,
+    over_2pi_i,
     reduce_mod_lattice,
     solve,
 )
 
 
 def test_quarter_phases_are_exact():
-    assert cis(Fraction(0)) == 1
-    assert cis(Fraction(1, 2)) == -1
-    assert cis(Fraction(1, 4)) == 1j
-    assert cis(Fraction(3, 4)) == -1j
-    assert cis(Fraction(5, 4)) == 1j  # reduced mod 1
-    assert cis(Fraction(-1, 4)) == -1j
+    got = cis([0, 2, 1, 3, 5, -1], 4)  # 5/4 and -1/4 reduced mod 1
+    assert got.tolist() == [1, -1, 1j, -1j, 1j, -1j]
+    assert got.tobytes() == np.array([1 + 0j, -1 + 0j, 1j, -1j, 1j, -1j]).tobytes()
+    assert cis([2, 4, 6], 8).tolist() == [1j, -1, -1j]  # numerators need not be in lowest terms
 
 
 def test_cis_matches_direct_evaluation():
-    for num in range(-7, 8):
-        for den in (3, 5, 7, 12):
-            q = Fraction(num, den)
-            direct = complex(math.cos(2 * math.pi * float(q)), math.sin(2 * math.pi * float(q)))
-            assert abs(cis(q) - direct) < 1e-14
+    for den in (3, 5, 7, 12):
+        nums = np.arange(-7, 8)
+        got = cis(nums, den)
+        for num, z in zip(nums.tolist(), got.tolist()):
+            q = float(Fraction(num, den))
+            direct = complex(math.cos(2 * math.pi * q), math.sin(2 * math.pi * q))
+            assert abs(z - direct) < 1e-14
+        reference = np.array([scalar_cis(Fraction(num, den)) for num in nums.tolist()])
+        assert got.tobytes() == reference.tobytes()
 
 
 def test_omega_power_reduces_exponent():
-    # omega = e^{-2 pi i / 4} = -i
-    assert omega_power(1, 4) == -1j
-    assert omega_power(2, 4) == -1
-    assert omega_power(5, 4) == -1j
-    assert omega_power(-1, 4) == 1j
-    assert omega_power(3, 6) == -1
+    # omega^e = cis(-e, N); omega = e^{-2 pi i / 4} = -i
+    assert cis([-1, -2, -5, 1], 4).tolist() == [-1j, -1, -1j, 1j]
+    assert cis([-3], 6).tolist() == [-1]
 
 
 def test_big_exponents_do_not_accumulate():
-    v1 = omega_power(7 * 10**8 + 1, 7)
-    v2 = omega_power(1, 7)
-    assert v1 == v2  # identical after exact reduction
+    v1 = cis([-(7 * 10**8 + 1)], 7)
+    v2 = cis([-1], 7)
+    assert v1.tobytes() == v2.tobytes()  # identical after exact reduction
+    assert cis(np.array([7 * 10**30 + 1], dtype=object), 7).tobytes() == cis([1], 7).tobytes()
+
+
+def test_shape_is_kept():
+    nums = np.arange(24).reshape(2, 3, 4)
+    got = cis(nums, 5)
+    assert got.shape == (2, 3, 4) and got.dtype == complex
+    assert got.ravel().tobytes() == cis(nums.ravel(), 5).tobytes()
+    assert cis(np.zeros((2, 0), dtype=np.int64), 3).shape == (2, 0)
+    # an empty A gives the empty (#J x 0) evaluation matrix
+    f = build_evaluation_matrix(FiniteSet(5, 1, ()), FiniteSet.from_ints(5, [1, 2])).entries
+    assert f.shape == (2, 0) and f.dtype == complex
+
+
+def test_products_past_2_62_take_python_ints():
+    n = 2**40 + 15
+    assert 2 * n * n > 2**62
+    assert int_array([[n - 1, 3]], 2 * n * n).dtype == object
+    assert int_array([[n - 1, 3]], 2**62 - 1).dtype == np.int64
+    a = FiniteSet(n, 2, ((n - 1, 3), (5, n - 2), (2**39, 1)))
+    j = FiniteSet(n, 2, ((n - 7, 1), (2, 2**39)))
+    got = build_evaluation_matrix(a, j).entries
+    reference = np.array([[scalar_cis(Fraction(-sum(x * y for x, y in zip(jp, ap)), n))
+                           for ap in a.points] for jp in j.points])
+    assert got.tobytes() == reference.tobytes()
+
+
+def test_complex_arithmetic_rounds_like_python():
+    rng = np.random.default_rng(3)
+    parts = [0.0, -0.0, 1.0, -2.5] + list(rng.normal(size=6)) + list(rng.normal(size=4) * 1e-300)
+    zs = [complex(x, y) for x in parts for y in parts]
+    left = np.array(zs)
+    for b in zs[::7] + [0.75, -3, 2]:  # complex, float and int operands
+        assert mul(left, b).tobytes() == np.array([z * b for z in zs]).tobytes()
+    for t in [0.5, -0.5, 3.25, -1e-7, 7e5]:
+        got = over_2pi_i(left, np.full(len(zs), t))
+        assert got.tobytes() == np.array([z / (2j * math.pi * t) for z in zs]).tobytes()
+
+
+def test_phases_are_evaluated_only_in_exact():
+    # every rational phase goes through _exact.cis; a second evaluator
+    # would need its own cos/sin
+    package = Path(__file__).resolve().parents[1] / "src" / "spectralpairs"
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_exact.py" and re.search(r"\bmath\.(cos|sin)\b", path.read_text())
+    ]
+    assert offenders == []
 
 
 IDENT = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

@@ -15,7 +15,7 @@ from spectralpairs import (
     symbol_of_set,
     transpose_pair,
 )
-from spectralpairs._exact import cis
+from scalar_phases import cis
 from fractions import Fraction
 
 

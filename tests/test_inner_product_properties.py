@@ -29,7 +29,7 @@ from spectralpairs import (
     shift_spectrum,
     verify_biorthogonality,
 )
-from spectralpairs._exact import cis
+from scalar_phases import cis
 from spectralpairs.analytics import _shift_tags
 
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))

@@ -1,0 +1,152 @@
+"""Differential tests: the array phase kernel against the scalar phase path.
+
+``build_evaluation_matrix``, ``dual_piece_coefficients`` and
+``sample_signal`` evaluate every phase through ``_exact.cis`` over whole
+integer arrays.  The references below are the per-entry paths they
+replaced, built on the scalar ``cis`` kept in ``scalar_phases``: one
+``Fraction`` phase at a time, and the closed form of each sample in
+Python complex arithmetic.  The array code must reproduce those floats
+bit for bit, not just to a tolerance.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scalar_phases import cis
+
+from spectralpairs import (
+    BandlimitedSignal,
+    BoxDomain,
+    FiniteSet,
+    NonInvertibleError,
+    SamplePattern,
+    build_evaluation_matrix,
+    dual_piece_coefficients,
+    sample_signal,
+)
+from spectralpairs.finite_pairs import _checked_inverse
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def reference_evaluation_matrix(a, j):
+    n = a.modulus
+    entries = np.empty((len(j), len(a)), dtype=complex)
+    for s, jp in enumerate(j.points):
+        for r, ap in enumerate(a.points):
+            exponent = sum(jc * ac for jc, ac in zip(jp, ap))
+            entries[s, r] = cis(Fraction(-(exponent % n), n))
+    return entries
+
+
+def reference_piece_coefficients(f):
+    inv = _checked_inverse(f)
+    k = f.shape[1]
+    c = np.empty((k, k), dtype=complex)
+    for r in range(k):
+        for s in range(k):
+            c[r, s] = k * inv[r, s] * f[s, r]
+    return c
+
+
+def reference_box_transform(coeffs, lo, hi, t):
+    """integral over [lo, hi) of sum c_m (xi-lo)^m e^{2 pi i xi t} d xi, closed form."""
+    length = hi - lo
+    if t == 0:
+        lf = float(length)
+        return sum(c * lf ** (m + 1) / (m + 1) for m, c in enumerate(coeffs))
+    phase = cis(t * lo)
+    end = cis(t * length)
+    tw = 2j * math.pi * float(t)
+    lf = float(length)
+    moments = [(end - 1.0) / tw]
+    for m in range(1, len(coeffs)):
+        moments.append((lf**m * end - m * moments[m - 1]) / tw)
+    return phase * sum(c * moments[m] for m, c in enumerate(coeffs))
+
+
+def reference_samples(f, p):
+    out = []
+    for lam in p.points():
+        total = 0j
+        for (lo, hi), coeffs in zip(f.spectrum_domain.boxes, f.pieces):
+            total += reference_box_transform(coeffs, lo[0], hi[0], lam)
+        out.append(total)
+    return out
+
+
+def bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@st.composite
+def finite_sets(draw, n, d, size):
+    elements = st.tuples(*[st.integers(0, n - 1)] * d)
+    return FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=size, max_size=size,
+                                                 unique=True))))
+
+
+@st.composite
+def finite_pairs(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 39 if d == 1 else 9))
+    k = draw(st.integers(0, min(5, n**d)))
+    m = draw(st.integers(k, min(k + 2, n**d)))
+    return draw(finite_sets(n, d, k)), draw(finite_sets(n, d, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_pairs())
+def test_evaluation_matrix_is_bit_identical(pair):
+    a, j = pair
+    got = build_evaluation_matrix(a, j).entries
+    assert got.shape == (len(j), len(a)) and got.dtype == complex
+    assert got.tobytes() == reference_evaluation_matrix(a, j).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_pairs())
+def test_piece_coefficients_are_bit_identical(pair):
+    a, j = pair
+    assume(len(a) == len(j) > 0)
+    f = build_evaluation_matrix(a, j).entries
+    try:
+        got = dual_piece_coefficients(a, j)
+    except NonInvertibleError:
+        assume(False)
+    assert got.tobytes() == reference_piece_coefficients(f).tobytes()
+
+
+@st.composite
+def interval_unions(draw):
+    """Up to four disjoint intervals with rational ends."""
+    cuts = sorted(draw(st.sets(RATIONALS, min_size=2, max_size=8)))
+    return BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
+
+
+COEFFICIENTS = st.builds(
+    complex,
+    st.floats(-3, 3, allow_nan=False),
+    st.one_of(st.just(0.0), st.floats(-3, 3, allow_nan=False)),
+)
+
+
+@st.composite
+def signals_and_patterns(draw):
+    dom = draw(interval_unions())
+    pieces = tuple(draw(st.lists(COEFFICIENTS, min_size=1, max_size=4)) for _ in dom.boxes)
+    n = draw(st.integers(1, 12))
+    j = draw(finite_sets(n, 1, draw(st.integers(1, n))))
+    return BandlimitedSignal(dom, pieces), SamplePattern.from_finite_set(j, draw(st.integers(0, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signals_and_patterns())
+def test_samples_are_bit_identical(case):
+    signal, pattern = case
+    got = sample_signal(signal, pattern)
+    assert all(type(z) is complex for z in got)
+    assert bits(got) == bits(reference_samples(signal, pattern))
