@@ -61,11 +61,13 @@ from .finite_pairs import (
     EvaluationMatrix,
     FiniteClassification,
     FiniteSet,
+    HadamardReport,
     PairKind,
     Tolerances,
     build_evaluation_matrix,
     check_mutual_orthogonality,
     classify_finite_pair,
+    hadamard_report,
     symbol_of_set,
     transpose_pair,
 )
@@ -80,13 +82,11 @@ from .sampling import (
     verify_alias_cancellation,
 )
 from .search import (
-    HadamardReport,
     SearchMatch,
     SearchQuery,
     SearchResult,
     canonical_form,
     enumerate_pairs,
-    hadamard_report,
 )
 
 __version__ = "0.1.0"

@@ -6,11 +6,14 @@ rows are indexed by J, columns by A, so F maps coefficient vectors on A
 to inner products against the exponentials E_j.  Under counting measure
 the squared extreme singular values of F are the frame constants, and
 (A, J) is an orthogonal pair exactly when F^H F = (#A) I.
+
+One decision rule classifies a stack of evaluation matrices with one
+stacked SVD: a single pair is a stack of one, a search chunk a stack of many.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,18 +35,13 @@ class PairKind(str, Enum):
 
     @property
     def rank(self) -> int:
-        return _KIND_RANK[self]
+        return _KINDS.index(self)
 
     def at_least(self, other: "PairKind") -> bool:
         return self.rank >= other.rank
 
 
-_KIND_RANK = {
-    PairKind.NONE: 0,
-    PairKind.FRAME: 1,
-    PairKind.RIESZ_BASIS: 2,
-    PairKind.ORTHOGONAL_BASIS: 3,
-}
+_KINDS = tuple(PairKind)  # in rank order: none, frame, riesz-basis, orthogonal-basis
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,26 @@ def _piece_coefficients(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return mul(f.shape[1] * inv, f.T)
 
 
-def _unitary_defect(f: np.ndarray) -> float:
-    """max |F^H F - (#rows) I|: zero exactly when the columns of F are
-    mutually orthogonal with squared norm #rows."""
-    return float(np.abs(f.conj().T @ f - f.shape[0] * np.eye(f.shape[1])).max())
+def _unitary_defect(f: np.ndarray) -> np.ndarray:
+    """max |F^H F - (#rows) I| of F, or of each matrix in a stack F: zero exactly
+    when the columns of F are mutually orthogonal with squared norm #rows."""
+    gram = np.swapaxes(f.conj(), -1, -2) @ f
+    return np.abs(gram - f.shape[-2] * np.eye(f.shape[-1])).max(axis=(-2, -1))
+
+
+def _classify_stacked(f: np.ndarray, tolerances: Tolerances):
+    """Kind ranks (indices into _KINDS), lower and upper frame constants and condition
+    numbers of each matrix in a stack f of shape (m, #J, #A), #J >= #A."""
+    sigma = np.linalg.svd(f, compute_uv=False)
+    largest, smallest = sigma[:, 0], sigma[:, -1]
+    condition = np.divide(largest, smallest, out=np.full(len(f), np.inf), where=smallest > 0)
+    # float_power rounds as a float64 scalar's ** does (libm pow), not as x * x
+    lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
+    square = f.shape[1] == f.shape[2]
+    orthogonal = square and _unitary_defect(f) < tolerances.unitary
+    riesz = square and condition < tolerances.condition_cap
+    ranks = np.select([orthogonal, riesz, lower > tolerances.frame_lower], [3, 2, 1], 0)
+    return ranks, lower, upper, condition
 
 
 def classify_finite_pair(
@@ -185,22 +199,11 @@ def classify_finite_pair(
         raise InsufficientSpectrumError(
             "#J = %d < #A = %d: no frame classification" % (len(j), len(a))
         )
-    f = build_evaluation_matrix(a, j).entries
-    sigma = np.linalg.svd(f, compute_uv=False)
-    lower = float(sigma[-1] ** 2)
-    upper = float(sigma[0] ** 2)
-    condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
-
-    square = len(a) == len(j)
-    if square and _unitary_defect(f) < tolerances.unitary:
-        kind = PairKind.ORTHOGONAL_BASIS
-    elif square and condition < tolerances.condition_cap:
-        kind = PairKind.RIESZ_BASIS
-    elif lower > tolerances.frame_lower:
-        kind = PairKind.FRAME
-    else:
-        kind = PairKind.NONE
-    return FiniteClassification(kind, lower, upper, condition)
+    f = build_evaluation_matrix(a, j).entries[None]
+    ranks, lower, upper, condition = _classify_stacked(f, tolerances)
+    return FiniteClassification(
+        _KINDS[ranks[0]], float(lower[0]), float(upper[0]), float(condition[0])
+    )
 
 
 def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:
@@ -209,7 +212,7 @@ def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:
     Those sums are the off-diagonal entries of F F^H (rows of F indexed
     by J), whose diagonal is #A.
     """
-    return _unitary_defect(build_evaluation_matrix(a, j).entries.T) < Tolerances().unitary
+    return bool(_unitary_defect(build_evaluation_matrix(a, j).entries.T) < Tolerances().unitary)
 
 
 def transpose_pair(
@@ -241,3 +244,35 @@ def symbol_of_set(j: FiniteSet, k) -> complex:
     for term in column.tolist():
         total += term
     return total
+
+
+@dataclass(frozen=True)
+class HadamardReport:
+    """Whether F^H F = k I, and whether the dual system coincides with the primal."""
+
+    is_hadamard: bool
+    self_dual: bool
+    unitary_defect: float
+    coefficient_defect: float
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:
+    """Unitarity (up to scale) of the evaluation matrix and self-duality of the pair."""
+    f = build_evaluation_matrix(a, j).entries
+    if f.shape[0] != f.shape[1]:
+        raise ValueError("hadamard check needs a square evaluation matrix")
+    tolerance = Tolerances().unitary
+    unitary_defect = float(_unitary_defect(f))
+    try:
+        coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())
+    except NonInvertibleError:
+        coeff_defect = float("inf")
+    return HadamardReport(
+        is_hadamard=unitary_defect < tolerance,
+        self_dual=coeff_defect < tolerance,
+        unitary_defect=unitary_defect,
+        coefficient_defect=coeff_defect,
+    )

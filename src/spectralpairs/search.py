@@ -3,29 +3,29 @@
 Translating A or J multiplies the evaluation matrix by a unimodular
 diagonal and so preserves singular values and classification; the
 deduplicated search therefore only visits subsets that contain 0 and are
-lexicographically minimal among their translates containing 0.  Groups
-with more than 16 elements fall back to seeded random sampling.
+lexicographically minimal among their translates containing 0.  Such a
+canonical representative starts with 0, so only subsets holding 0 are
+generated.  Groups with more than 16 elements fall back to seeded random
+sampling, which draws indices and never builds the group.  Both classify
+pairs in fixed-size stacked chunks and build ``FiniteSet``s only for matches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonInvertibleError
+from ._exact import cis, int_array
 from .finite_pairs import (
     FiniteClassification,
     FiniteSet,
     PairKind,
     Tolerances,
-    _checked_inverse,
-    _piece_coefficients,
-    _unitary_defect,
-    build_evaluation_matrix,
-    classify_finite_pair,
+    _classify_stacked,
 )
 
 EXHAUSTIVE_GROUP_LIMIT = 16
@@ -75,10 +75,6 @@ class SearchResult:
     seed: int | None
 
 
-def _group_elements(n: int, d: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(n), repeat=d))
-
-
 def _translate_subset(subset, t, n):
     return tuple(sorted(tuple((c - tc) % n for c, tc in zip(p, t)) for p in subset))
 
@@ -88,11 +84,38 @@ def canonical_form(subset, n: int) -> tuple:
     return min(_translate_subset(subset, t, n) for t in subset)
 
 
-def _subsets(n: int, d: int, k: int, dedup: bool):
-    for subset in itertools.combinations(_group_elements(n, d), k):
-        if dedup and subset != canonical_form(subset, n):
-            continue
-        yield subset
+def _subsets(n: int, d: int, k: int, dedup: bool) -> list[tuple]:
+    """k-subsets of Z_n^d in ``itertools.combinations`` order; with ``dedup``,
+    the canonical ones, which all start with 0 and so come first in that order."""
+    elements = list(itertools.product(range(n), repeat=d))
+    if not dedup:
+        return list(itertools.combinations(elements, k))
+    candidates = ((elements[0],) + c for c in itertools.combinations(elements[1:], k - 1))
+    return [s for s in candidates if s == canonical_form(s, n)]
+
+
+_CHUNK_ENTRIES = 1 << 20  # evaluation-matrix entries classified per stacked chunk
+
+
+def _exhaustive_chunks(subsets: list[tuple], size: int):
+    """(subsets, ia, ij) for all pairs (subsets[ia], subsets[ij]), A-major, ``size`` at a time."""
+    m = len(subsets)
+    for start in range(0, m * m, size):
+        p = np.arange(start, min(start + size, m * m))
+        yield subsets, p // m, p % m
+
+
+def _sampled_chunks(n: int, d: int, k: int, q: SearchQuery, rng, size: int):
+    """The same for ``q.samples`` random pairs, A and J drawn alternately; sorted
+    indices give a sorted subset, as row-major order is lexicographic."""
+    for start in range(0, q.samples, size):
+        draws = 2 * min(size, q.samples - start)
+        sel = np.sort([rng.choice(n**d, size=k, replace=False) for _ in range(draws)])
+        coords = np.stack(np.unravel_index(sel, (n,) * d), axis=-1).tolist()
+        subsets = [tuple(map(tuple, s)) for s in coords]
+        if q.dedup_translates:
+            subsets = [canonical_form(s, n) for s in subsets]
+        yield subsets, np.arange(0, draws, 2), np.arange(1, draws, 2)
 
 
 def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> SearchResult:
@@ -101,84 +124,44 @@ def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> Se
     Deduplication keeps one representative per translation orbit of A
     and of J.  The enumeration is exhaustive when the group has at most
     16 elements; larger groups are sampled with the recorded seed.
+    ``time_budget`` is checked before each chunk of pairs, so a search it
+    stops counts whole chunks in ``examined``; one stopped by
+    ``max_results`` counts the pairs up to its last match.
     """
     n, d, k = q.modulus, q.dimension, q.cardinality
     deadline = None if q.time_budget is None else time.monotonic() + q.time_budget
     exhaustive = n**d <= EXHAUSTIVE_GROUP_LIMIT
-    matches: list[SearchMatch] = []
-    examined = 0
-    partial = False
+    size = max(1, _CHUNK_ENTRIES // (k * k))
     seed = None
-
     if exhaustive:
-        subsets = list(_subsets(n, d, k, q.dedup_translates))
-        pair_iter = itertools.product(subsets, subsets)
+        subsets = _subsets(n, d, k, q.dedup_translates)
+        chunks, total = _exhaustive_chunks(subsets, size), len(subsets) ** 2
     else:
         seed = q.seed if q.seed is not None else int(np.random.SeedSequence().entropy % 2**32)
         rng = np.random.default_rng(seed)
-        elements = _group_elements(n, d)
+        chunks, total = _sampled_chunks(n, d, k, q, rng, size), q.samples
 
-        def _sampled():
-            for _ in range(q.samples):
-                a_sel = rng.choice(len(elements), size=k, replace=False)
-                j_sel = rng.choice(len(elements), size=k, replace=False)
-                a_sub = tuple(sorted(elements[i] for i in a_sel))
-                j_sub = tuple(sorted(elements[i] for i in j_sel))
-                if q.dedup_translates:
-                    a_sub = canonical_form(a_sub, n)
-                    j_sub = canonical_form(j_sub, n)
-                yield a_sub, j_sub
-
-        pair_iter = _sampled()
-
-    for a_sub, j_sub in pair_iter:
-        if deadline is not None and time.monotonic() > deadline:
+    limit = total if q.max_results is None else q.max_results  # total: no pair beyond it
+    finite = functools.cache(lambda s: FiniteSet(n, d, s))  # one FiniteSet per subset
+    kinds = tuple(PairKind)  # in rank order
+    matches: list[SearchMatch] = []
+    examined, partial = 0, False
+    for subsets, ia, ij in chunks:
+        if len(matches) >= limit or (deadline is not None and time.monotonic() > deadline):
             partial = True
             break
-        if q.max_results is not None and len(matches) >= q.max_results:
-            partial = True
+        points = int_array(subsets, d * n * n).reshape(len(subsets), -1, d)
+        f = cis(-(points[ij] @ np.swapaxes(points[ia], 1, 2)), n)
+        ranks, lower, upper, condition = _classify_stacked(f, tolerances)
+        hits = np.flatnonzero(ranks >= q.target_kind.rank)[: limit - len(matches)]
+        for h in hits.tolist():
+            a, j = finite(subsets[ia[h]]), finite(subsets[ij[h]])
+            kind = kinds[ranks[h]]
+            bounds = float(lower[h]), float(upper[h]), float(condition[h])
+            matches.append(SearchMatch(a, j, FiniteClassification(kind, *bounds)))
+        if len(matches) >= limit:
+            examined += int(hits[-1]) + 1
+            partial = examined < total
             break
-        examined += 1
-        a = FiniteSet(n, d, a_sub)
-        j = FiniteSet(n, d, j_sub)
-        classification = classify_finite_pair(a, j, tolerances)
-        if classification.kind.at_least(q.target_kind):
-            matches.append(SearchMatch(a, j, classification))
+        examined += len(ia)
     return SearchResult(tuple(matches), exhaustive, partial, examined, seed)
-
-
-@dataclass(frozen=True)
-class HadamardReport:
-    """Whether F^H F = k I, and whether the dual system coincides with the primal."""
-
-    is_hadamard: bool
-    self_dual: bool
-    unitary_defect: float
-    coefficient_defect: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_hadamard": self.is_hadamard,
-            "self_dual": self.self_dual,
-            "unitary_defect": self.unitary_defect,
-            "coefficient_defect": self.coefficient_defect,
-        }
-
-
-def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:
-    """Unitarity (up to scale) of the evaluation matrix and self-duality of the pair."""
-    f = build_evaluation_matrix(a, j).entries
-    if f.shape[0] != f.shape[1]:
-        raise ValueError("hadamard check needs a square evaluation matrix")
-    tolerance = Tolerances().unitary
-    unitary_defect = _unitary_defect(f)
-    try:
-        coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())
-    except NonInvertibleError:
-        coeff_defect = float("inf")
-    return HadamardReport(
-        is_hadamard=unitary_defect < tolerance,
-        self_dual=coeff_defect < tolerance,
-        unitary_defect=unitary_defect,
-        coefficient_defect=coeff_defect,
-    )

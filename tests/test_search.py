@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_search import enumerate_pairs as reference_enumerate_pairs
+from reference_search import exhaustive_pairs
 
 from spectralpairs import (
     FiniteSet,
@@ -99,6 +102,56 @@ class TestEnumeratePairs:
         assert result.seed == 99
         again = enumerate_pairs(query)
         assert [(m.a, m.j) for m in again.matches] == [(m.a, m.j) for m in result.matches]
+
+    # (a[1], j[1]) of each canonical match {0, a[1]}, {0, j[1]}, in order
+    SEED_99_Z17 = [
+        (7, 6), (1, 4), (6, 3), (8, 8), (4, 5), (8, 3), (3, 1), (6, 6), (6, 5), (1, 8),
+        (6, 1), (3, 3), (1, 6), (8, 6), (5, 4), (6, 6), (1, 3), (6, 7), (7, 1), (3, 6),
+        (6, 5), (1, 3), (1, 7), (3, 8), (4, 5), (3, 2), (8, 5), (1, 7), (2, 2), (7, 8),
+        (1, 7), (2, 3), (3, 2), (7, 6), (4, 1), (1, 2), (8, 4), (7, 1), (1, 3), (5, 3),
+        (3, 4), (6, 8), (7, 8), (8, 5), (6, 4), (6, 3), (5, 7), (7, 5), (2, 5), (8, 1),
+        (6, 3), (7, 5), (8, 2), (5, 5), (5, 5), (4, 7), (4, 3), (3, 5), (5, 2), (1, 2),
+    ]
+
+    def test_seeded_samples_are_pinned(self):
+        result = enumerate_pairs(SearchQuery(17, 1, 2, PairKind.RIESZ_BASIS, seed=99, samples=60))
+        assert (result.examined, result.partial) == (60, False)
+        assert all(m.classification.kind == PairKind.RIESZ_BASIS for m in result.matches)
+        assert [(m.a.points, m.j.points) for m in result.matches] == [
+            (((0,), (a,)), ((0,), (j,))) for a, j in self.SEED_99_Z17
+        ]
+
+    def test_sampling_never_builds_the_group(self):
+        # 2^30 elements: a list of all group elements would need tens of GB
+        result = enumerate_pairs(SearchQuery(1024, 3, 2, PairKind.RIESZ_BASIS, seed=5, samples=20))
+        assert not result.exhaustive and not result.partial
+        assert (result.examined, result.seed) == (20, 5)
+        for m in result.matches:
+            assert m.a.points[0] == m.j.points[0] == (0, 0, 0)
+            assert classify_finite_pair(m.a, m.j) == m.classification
+
+    @pytest.mark.parametrize(
+        "n, d, k, kind, dedup",
+        [
+            (4, 1, 2, PairKind.RIESZ_BASIS, False),  # the final pair is a match
+            (8, 1, 3, PairKind.RIESZ_BASIS, True),
+            (6, 1, 2, PairKind.ORTHOGONAL_BASIS, False),
+            (2, 2, 2, PairKind.RIESZ_BASIS, True),
+        ],
+    )
+    def test_max_results_keeps_a_prefix(self, n, d, k, kind, dedup):
+        query = SearchQuery(n, d, k, kind, dedup_translates=dedup)
+        pairs = exhaustive_pairs(n, d, k, dedup)
+        full = reference_enumerate_pairs(query)
+        positions = [pairs.index((m.a.points, m.j.points)) for m in full.matches]
+        total = len(positions)
+        if (n, dedup) == (4, False):
+            assert positions[-1] == len(pairs) - 1
+        for limit in sorted({1, total - 1, total} - {0}):
+            result = enumerate_pairs(replace(query, max_results=limit))
+            assert result.matches == full.matches[:limit]
+            assert result.examined == positions[limit - 1] + 1
+            assert result.partial == (result.examined < len(pairs))
 
     def test_invalid_cardinality(self):
         with pytest.raises(ValueError):
