@@ -1,7 +1,9 @@
-"""Exact rational phases, their one evaluation kernel, and small rational linear algebra.
+"""Exact rational phases, their one evaluation kernel, and exact integer linear algebra.
 
-All geometry in this package is carried by ``fractions.Fraction``;
-floating point enters only in ``cis``, which evaluates every phase as an
+Geometry is ``fractions.Fraction`` at the API and integer numerators over
+one common denominator inside (``common_denominator``), in int64 arrays or,
+once the integers formed could reach 2**62, Python ints (``int_array``).
+Floating point enters only in ``cis``, which evaluates every phase as an
 integer over a common denominator, reduced mod the denominator *before*
 exponentiation: a root of unity never accumulates error, and the quarter
 phases are exact, so cancellations like 1 + e^{i pi} come out as literal
@@ -16,13 +18,37 @@ from fractions import Fraction
 import numpy as np
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def int_array(values, bound: int) -> np.ndarray:
     """``values`` as int64, or as Python ints (dtype object) once ``bound``, a
     bound on every integer formed from them (products, sums, moduli), reaches 2**62."""
     return np.array(values, dtype=np.int64 if bound < 1 << 62 else object)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Numerators over the least common denominator D of the rationals
+    ``values``, so that values[i] == nums[i] / D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def adjugate(m) -> tuple[np.ndarray, int]:
+    """adj(m) (Python ints, dtype object) and det(m) of a square integer matrix.
+
+    Faddeev-LeVerrier: M_k = m M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(m M_k)/k
+    from M_0 = 0, c_n = 1, every division exact; then adj(m) = (-1)^(n+1) M_n
+    and det(m) = (-1)^n c_0.
+    """
+    m = np.array(m, dtype=object)
+    n = len(m)
+    eye = np.identity(n, dtype=object)
+    mk, c = np.zeros((n, n), dtype=object), 1
+    for k in range(1, n + 1):
+        mk = m @ mk + c * eye
+        c = -np.trace(m @ mk) // k
+    sign = (-1) ** n
+    return -sign * mk, sign * c
 
 
 def cis(nums, den: int) -> np.ndarray:
@@ -78,64 +104,7 @@ def to_vector(x, dimension: int) -> Vec:
         if dimension != 1:
             raise ValueError("scalar given for a %d-dimensional vector" % dimension)
         return (to_fraction(x),)
-    vec = tuple(to_fraction(c) for c in x)
+    vec = tuple(map(to_fraction, x))
     if len(vec) != dimension:
         raise ValueError("expected a vector of length %d, got %r" % (dimension, x))
     return vec
-
-
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def lattice_point(generators: Mat, coords) -> Vec:
-    """Sum of coords[i] * generators[i]."""
-    d = len(generators[0])
-    out = [Fraction(0)] * d
-    for z, g in zip(coords, generators):
-        for k in range(d):
-            out[k] += z * g[k]
-    return tuple(out)
-
-
-def solve(generators: Mat, v) -> Vec:
-    """Coordinates t with sum(t[i] * generators[i]) == v, by exact elimination."""
-    d = len(generators)
-    aug = [[generators[j][i] for j in range(d)] + [Fraction(v[i])] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular generator matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / aug[col][col]
-                for c in range(col, d + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    return tuple(aug[i][d] / aug[i][i] for i in range(d))
-
-
-def inverse(generators: Mat) -> Mat:
-    """Rows of the inverse of the column matrix built from the generators."""
-    d = len(generators)
-    cols = []
-    for i in range(d):
-        unit = tuple(Fraction(1) if k == i else Fraction(0) for k in range(d))
-        cols.append(solve(generators, unit))
-    # cols[i] solves B t = e_i, i.e. cols[i] is column i of B^{-1}
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
-def reduce_mod_lattice(generators: Mat, v: Vec) -> Vec:
-    """Canonical representative of v modulo the lattice, inside B [0,1)^d."""
-    t = solve(generators, v)
-    frac = tuple(ti - math.floor(ti) for ti in t)
-    return lattice_point(generators, frac)

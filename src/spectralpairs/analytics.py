@@ -21,8 +21,6 @@ below rather than trusted.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import _exact
 from ._exact import Vec, to_fraction, to_vector
-from .domains import BoxDomain, Spectrum, enumerate_spectrum, shift_spectrum
+from .domains import BoxDomain, Spectrum, _reduce, enumerate_spectrum, shift_spectrum
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
     FiniteSet,
@@ -66,9 +64,7 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
     n, m = len(rows), len(cols)
     tables = []
     for k in range(dom.dimension):
-        coords = [p[k] for p in rows] + [p[k] for p in cols]
-        scale = math.lcm(*(c.denominator for c in coords))
-        nums = [c.numerator * (scale // c.denominator) for c in coords]
+        nums, scale = _exact.common_denominator([p[k] for p in rows] + [p[k] for p in cols])
         nums = _exact.int_array(nums, 2 * max(map(abs, nums)))
         diffs, index = np.unique(np.subtract.outer(nums[:n], nums[n:]), return_inverse=True)
         diffs = diffs.astype(object)  # the few distinct values take exact products with the corners
@@ -208,16 +204,17 @@ def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
     shift it reduces to, mod #J.  The layout is checked exactly first, so
     a spectrum built any other way raises instead of mislabelling points.
     """
-    m = len(j)
-    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
-    reduce = functools.partial(_exact.reduce_mod_lattice, spec.basis)
-    bases = [reduce(_exact.vec_sub(v, offsets[i % m])) for i, v in enumerate(spec.shifts)]
-    if len(bases) % m or any(bases[i] != bases[i - i % m] for i in range(len(bases))):
+    m, n = len(j), len(spec.shifts)
+    bases = [tuple(c - Fraction(o, j.modulus) for c, o in zip(v, j.points[i % m]))
+             for i, v in enumerate(spec.shifts)]
+    reduced, _ = _reduce(spec.basis, [*bases, *spec.shifts, *points])
+    rows = [tuple(row) for row in reduced.tolist()]
+    if n % m or any(rows[i] != rows[i - i % m] for i in range(n)):
         raise UnsupportedPairError(
             "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
         )
-    index = {v: i for i, v in enumerate(spec.shifts)}
-    return [index[reduce(p)] % m for p in points]
+    index = {v: i for i, v in enumerate(rows[n:2 * n])}
+    return [index[p] % m for p in rows[2 * n:]]
 
 
 def verify_biorthogonality(

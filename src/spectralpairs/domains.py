@@ -1,10 +1,13 @@
 """Exact rational geometry: unions of half-open boxes and shifted lattices.
 
 Disjointness of translated copies and the root-of-unity condition are
-yes/no facts that must be certified, not approximated, so every corner,
-lattice generator and shift is a ``Fraction`` and the tests below are
-decided exactly.  Boxes are half-open, which makes touching translates
-(such as [0,1) and [1,2)) disjoint without epsilon fiddling.
+yes/no facts that must be certified, not approximated.  Corners, lattice
+generators and shifts are ``Fraction``s at the API (constructors, the
+``boxes``/``basis``/``shifts`` tuples, JSON, returned points); every
+decision runs on their integer numerators over one common denominator
+D > 0, where comparisons and divisibility tests are exact.  Boxes are
+half-open, which makes touching translates (such as [0,1) and [1,2))
+disjoint without epsilon fiddling.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _exact
-from ._exact import Vec, to_fraction, to_vector, vec_add
+import numpy as np
+
+from ._exact import Vec, adjugate, common_denominator, int_array, to_fraction, to_vector
 from .errors import (
     DimensionMismatchError,
     DuplicateSpectrumError,
@@ -27,36 +31,31 @@ from .finite_pairs import FiniteSet
 Box = tuple[Vec, Vec]  # (lower corner, upper corner)
 
 
-def _boxes_overlap(b1: Box, b2: Box) -> bool:
-    """Positive-measure intersection test for half-open boxes."""
-    return all(max(l1, l2) < min(h1, h2) for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]))
+def _numerators(rows) -> tuple[np.ndarray, int]:
+    """Rational rows of one length as an integer array over their common denominator D."""
+    nums, den = common_denominator(list(itertools.chain.from_iterable(rows)))
+    return int_array(nums, max(map(abs, nums))).reshape(len(rows), -1), den
 
 
-def _overlaps(boxes):
-    """Every index pair (i, k), i < k, of boxes that meet with positive measure.
+def _fractions(rows, den: int) -> list[Vec]:
+    """Integer rows over ``den`` as Fraction tuples, each distinct numerator converted once."""
+    values = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows))}
+    return [tuple(values[n] for n in row) for row in rows]
 
-    One sort-and-sweep along the first axis: a box is tested only against
-    the boxes whose first-axis interval is still open at its lower edge.
+
+def _overlaps(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
+    """Every index pair (i, k), i < k, of boxes [lo, hi) that meet with positive measure.
+
+    Sorted on the first axis, a box can meet only the run of later boxes whose lower
+    edge lies before its upper edge; ``searchsorted`` finds it, and all axes are tested at once.
     """
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
-    open_boxes = []
-    for k in order:
-        edge = boxes[k][0][0]
-        open_boxes = [i for i in open_boxes if boxes[i][1][0] > edge]
-        for i in open_boxes:
-            if _boxes_overlap(boxes[i], boxes[k]):
-                yield (i, k) if i < k else (k, i)
-        open_boxes.append(k)
-
-
-def _box_intersection_measure(b1: Box, b2: Box) -> Fraction:
-    vol = Fraction(1)
-    for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]):
-        lo, hi = max(l1, l2), min(h1, h2)
-        if hi <= lo:
-            return Fraction(0)
-        vol *= hi - lo
-    return vol
+    order = np.argsort(lo[:, 0])
+    ends = np.searchsorted(lo[order, 0], hi[order, 0])  # >= position + 1: boxes are not empty
+    counts = ends - np.arange(1, len(order) + 1)
+    i = order[np.repeat(np.arange(len(order)), counts)]
+    k = order[np.arange(counts.sum()) + np.repeat(ends - counts.cumsum(), counts)]
+    meet = np.all(np.maximum(lo[i], lo[k]) < np.minimum(hi[i], hi[k]), axis=1)
+    return list(zip(np.minimum(i, k)[meet].tolist(), np.maximum(i, k)[meet].tolist()))
 
 
 @dataclass(frozen=True)
@@ -71,14 +70,14 @@ class BoxDomain:
             raise ValueError("dimension must be at least 1")
         if not self.boxes:
             raise ValueError("a domain needs at least one box")
-        norm = []
-        for lo, hi in self.boxes:
-            lo = to_vector(lo, self.dimension)
-            hi = to_vector(hi, self.dimension)
-            if not all(l < h for l, h in zip(lo, hi)):
-                raise ValueError("empty box: lo=%s hi=%s" % (lo, hi))
-            norm.append((lo, hi))
-        overlaps = list(_overlaps(norm))
+        norm = [(to_vector(lo, self.dimension), to_vector(hi, self.dimension))
+                for lo, hi in self.boxes]
+        corners, _ = _numerators([c for box in norm for c in box])
+        lo, hi = corners[0::2], corners[1::2]
+        empty = np.flatnonzero(~np.all(lo < hi, axis=1))
+        if len(empty):
+            raise ValueError("empty box: lo=%s hi=%s" % norm[empty[0]])
+        overlaps = _overlaps(lo, hi)
         if overlaps:
             i, k = min(overlaps)
             error = OverlapError(
@@ -122,11 +121,14 @@ class BoxDomain:
         return BoxDomain(self.dimension, boxes)
 
     def intersection_measure(self, other: "BoxDomain") -> Fraction:
-        total = Fraction(0)
-        for b1 in self.boxes:
-            for b2 in other.boxes:
-                total += _box_intersection_measure(b1, b2)
-        return total
+        """|self & other|: over one denominator D, the integer sum of the
+        products of the side overlaps of every box pair, divided by D^d."""
+        n, d = len(self.boxes), self.dimension
+        corners, den = _numerators([c for box in self.boxes + other.boxes for c in box])
+        corners = int_array(corners, len(corners) ** 2 * (2 * int(np.abs(corners).max()) + 1) ** d)
+        lo, hi = corners[0::2], corners[1::2]
+        sides = np.minimum(hi[:n, None], hi[None, n:]) - np.maximum(lo[:n, None], lo[None, n:])
+        return Fraction(int(np.prod(np.maximum(sides, 0), axis=2).sum()), den**d)
 
     def contains(self, point) -> bool:
         """Membership of a (float or rational) point, half-open convention."""
@@ -185,20 +187,16 @@ class Spectrum:
         shifts = tuple(to_vector(s, self.dimension) for s in self.shifts) or (
             tuple(Fraction(0) for _ in range(self.dimension)),
         )
-        try:
-            reduced = tuple(_exact.reduce_mod_lattice(basis, s) for s in shifts)
-        except ZeroDivisionError:
-            raise NonInvertibleError("lattice generators are linearly dependent") from None
-        if len(set(reduced)) != len(reduced):
-            seen = {}
-            for orig, red in zip(shifts, reduced):
-                if red in seen:
-                    raise DuplicateSpectrumError(
-                        "shifts %s and %s coincide modulo the lattice" % (seen[red], orig)
-                    )
-                seen[red] = orig
+        reduced, den = _reduce(basis, shifts)
+        rows, seen = [tuple(row) for row in reduced.tolist()], {}
+        for orig, row in zip(shifts, rows):
+            if row in seen:
+                raise DuplicateSpectrumError(
+                    "shifts %s and %s coincide modulo the lattice" % (seen[row], orig)
+                )
+            seen[row] = orig
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "shifts", reduced)
+        object.__setattr__(self, "shifts", tuple(_fractions(rows, den)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,13 +211,34 @@ class Spectrum:
         return cls(len(basis), basis, shifts)
 
 
+def _lattice(basis, vectors):
+    """Over one denominator D: the generator rows Gn and the vector rows vn
+    (G = Gn/D, v = vn/D), D, and adj(Gn) and det(Gn) signed so that det > 0."""
+    d = len(basis)
+    nums, den = _numerators([*basis, *vectors])
+    adj, det = adjugate(nums[:d].tolist())
+    if det == 0:
+        raise NonInvertibleError("lattice generators are linearly dependent")
+    return nums[:d], nums[d:], den, adj * (det // abs(det)), abs(det)
+
+
+def _reduce(basis, vectors) -> tuple[np.ndarray, int]:
+    """The rational ``vectors`` reduced modulo the lattice into B [0,1)^d, as
+    integer rows over one denominator: rows are equal exactly when the points are.
+
+    The coordinates t with t G = v are vn adj/det, and the representative
+    (t mod 1) G is ((vn adj mod det) Gn)/(det D).
+    """
+    g, v, den, adj, det = _lattice(basis, vectors)
+    big = max(int(np.abs(g).max()), int(np.abs(v).max()))
+    bound = len(basis) * max(big * int(np.abs(adj).max()), det * big)
+    g, v, adj = (int_array(x, bound) for x in (g, v, adj))
+    return (v @ adj % det) @ g, det * den
+
+
 def integer_lattice(dimension: int) -> Spectrum:
     """Z^d with the trivial shift."""
-    basis = tuple(
-        tuple(Fraction(1) if i == k else Fraction(0) for k in range(dimension))
-        for i in range(dimension)
-    )
-    return Spectrum(dimension, basis)
+    return scaled_lattice(dimension, 1)
 
 
 def scaled_lattice(dimension: int, scale) -> Spectrum:
@@ -243,7 +262,12 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
         raise DimensionMismatchError(
             "domain dimension %d != set dimension %d" % (base.dimension, a.dimension)
         )
-    boxes = tuple((vec_add(lo, p), vec_add(hi, p)) for p in a.points for lo, hi in base.boxes)
+    d = base.dimension
+    corners, den = _numerators([c for box in base.boxes for c in box])
+    bound = int(np.abs(corners).max()) + a.modulus * den
+    offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
+    corners = _fractions((offsets + int_array(corners, bound)).reshape(-1, d).tolist(), den)
+    boxes = tuple(zip(corners[0::2], corners[1::2]))  # translate-major, as A is ordered
     try:
         return BoxDomain(base.dimension, boxes)
     except OverlapError as error:
@@ -263,49 +287,51 @@ def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
         )
     if n != j.modulus:
         raise ValueError("n = %d does not match the set modulus %d" % (n, j.modulus))
-    shifts = tuple(
-        tuple(v_c + Fraction(p_c, n) for v_c, p_c in zip(v, p))
-        for v in base.shifts
-        for p in j.points
-    )
-    return Spectrum(base.dimension, base.basis, shifts)
+    d = base.dimension
+    nums, den = _numerators(base.shifts)
+    scale = math.lcm(den, n)  # v + p/n over scale, shift-major
+    bound = (int(np.abs(nums).max()) + 1) * scale
+    v = int_array(nums, bound).reshape(-1, 1, d) * (scale // den)
+    p = int_array(j.points, bound).reshape(-1, d) * (scale // n)
+    return Spectrum(d, base.basis, tuple(_fractions((v + p).reshape(-1, d).tolist(), scale)))
 
 
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
-    """All spectrum points with sup-norm at most radius, lexicographically sorted."""
+    """All spectrum points with sup-norm at most radius, lexicographically sorted.
+
+    A point z G + v within radius r has |z_i| <= D sum_k |adj[k, i]| (r + max|v|)/det
+    (notation of ``_lattice``), so one integer grid Z covers every shift;
+    the points are the rows of vn + Z Gn with |p| <= r D, and as integer
+    rows over D > 0 they sort lexicographically.
+    """
     r = to_fraction(radius)
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    inv = _exact.inverse(s.basis)
-    points = set()
-    for shift in s.shifts:
-        shift_bound = max(abs(c) for c in shift)
-        bounds = []
-        for i in range(s.dimension):
-            row_norm = sum(abs(inv[i][k]) for k in range(s.dimension))
-            bounds.append(math.floor(row_norm * (r + shift_bound)))
-        for coords in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            point = _exact.vec_add(_exact.lattice_point(s.basis, coords), shift)
-            if max(abs(c) for c in point) <= r:
-                points.add(point)
-    return sorted(points)
+    d = s.dimension
+    g, v, den, adj, det = _lattice(s.basis, s.shifts)
+    reach = r.numerator * den + int(np.abs(v).max()) * r.denominator
+    bounds = [sum(map(abs, column)) * reach // (det * r.denominator) for column in adj.T.tolist()]
+    grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bounds), indexing="ij"), -1)
+    big = max(int(np.abs(g).max()), int(np.abs(v).max())) * (1 + d * max(bounds))
+    bound = max(big * r.denominator, r.numerator * den)
+    g, v, z = (int_array(x, bound) for x in (g, v, grid.reshape(-1, d)))
+    points = (v[:, None, :] + (z @ g)[None, :, :]).reshape(-1, d)
+    inside = np.all(np.abs(points) * r.denominator <= r.numerator * den, axis=1)
+    return _fractions(sorted(set(map(tuple, points[inside].tolist()))), den)
 
 
 def root_of_unity_condition(s: Spectrum, a: FiniteSet) -> bool:
     """Exact test that e^{2 pi i lambda . a} = 1 for every lattice point and shift.
 
     Equivalent to: g . a and v . a are integers for every generator g,
-    every shift v and every a in A.  Decided in rational arithmetic.
+    every shift v and every a in A.  Over one denominator D, with W the
+    numerators of the generators and shifts, that is D | W a.
     """
     if s.dimension != a.dimension:
         raise DimensionMismatchError(
             "spectrum dimension %d != set dimension %d" % (s.dimension, a.dimension)
         )
-    for p in a.points:
-        for g in s.basis:
-            if _exact.dot(g, p).denominator != 1:
-                return False
-        for v in s.shifts:
-            if _exact.dot(v, p).denominator != 1:
-                return False
-    return True
+    nums, den = _numerators([*s.basis, *s.shifts])
+    bound = max(s.dimension * int(np.abs(nums).max()) * a.modulus, den)
+    w, points = int_array(nums, bound), int_array(a.points, bound).reshape(-1, a.dimension)
+    return bool(np.all(w @ points.T % den == 0))

@@ -16,13 +16,12 @@ enters the verification path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._exact import cis, mul, over_2pi_i, to_fraction
+from ._exact import cis, common_denominator, int_array, mul, over_2pi_i, to_fraction
 from .domains import BoxDomain, minkowski_translate, unit_box
 from .errors import DimensionMismatchError
 from .finite_pairs import FiniteSet, Tolerances, symbol_of_set
@@ -67,11 +66,12 @@ class BandlimitedSignal:
 
     def sample(self, lam) -> complex:
         """Time-domain value f(lam) = integral of f_hat(xi) e^{2 pi i xi lam} d xi."""
-        return _samples(self, [to_fraction(lam)])[0]
+        lam = to_fraction(lam)
+        return _samples(self, np.array([lam.numerator], dtype=object), lam.denominator)[0]
 
 
-def _samples(f: BandlimitedSignal, lams: list[Fraction]) -> list[complex]:
-    """f at every rational lam, each box's closed form evaluated for all lam at once.
+def _samples(f: BandlimitedSignal, nums: np.ndarray, scale: int) -> list[complex]:
+    """f at every lam = nums/scale (Python ints), each box's closed form evaluated at once.
 
     On a box [lo, lo + l) the integral of sum c_m (xi-lo)^m e^{2 pi i xi t}
     is e^{2 pi i t lo} sum c_m M_m, with M_0 = (e^{2 pi i t l} - 1)/(2 pi i t)
@@ -79,16 +79,14 @@ def _samples(f: BandlimitedSignal, lams: list[Fraction]) -> list[complex]:
     sum c_m l^{m+1}/(m+1) at t = 0.  The arithmetic follows those scalar
     formulas step for step, boxes summed in order from 0j.
     """
-    scale = math.lcm(*(lam.denominator for lam in lams))
-    nums = np.array([lam.numerator * (scale // lam.denominator) for lam in lams], dtype=object)
     t, zero = (nums / scale).astype(float), nums == 0  # float(t), correctly rounded
     t[zero] = 1.0
-    total = np.zeros(len(lams), dtype=complex)
+    total = np.zeros(len(nums), dtype=complex)
     for (lo, hi), coeffs in zip(f.spectrum_domain.boxes, f.pieces):
         lo, length = lo[0], hi[0] - lo[0]
         lf = float(length)
         end = cis(nums * length.numerator, scale * length.denominator)
-        moment, value = over_2pi_i(end - 1.0, t), np.zeros(len(lams), dtype=complex)
+        moment, value = over_2pi_i(end - 1.0, t), np.zeros(len(nums), dtype=complex)
         for m, c in enumerate(coeffs):
             if m:
                 moment = over_2pi_i(mul(lf**m, end) - mul(m, moment), t)
@@ -123,13 +121,22 @@ class SamplePattern:
         return cls(tuple(Fraction(p[0], j.modulus) for p in j.points), truncation)
 
     def points(self) -> list[Fraction]:
-        m = self.truncation
-        return sorted(Fraction(n) + s for s in self.shifts for n in range(-m, m + 1))
+        nums, den = _pattern(self)
+        return [Fraction(n, den) for n in nums.tolist()]
+
+
+def _pattern(p: SamplePattern) -> tuple[np.ndarray, int]:
+    """The sorted points n + s of ``p`` as Python-int numerators n D + s D over
+    the lcm D of the shift denominators."""
+    shifts, den = common_denominator(p.shifts)
+    m, bound = p.truncation, (p.truncation + 1) * den
+    nums = np.add.outer(int_array(range(-m, m + 1), bound) * den, int_array(shifts, bound))
+    return np.sort(nums.ravel()).astype(object), den
 
 
 def sample_signal(f: BandlimitedSignal, p: SamplePattern) -> list[complex]:
     """f evaluated at every pattern point, aligned with ``p.points()``."""
-    return _samples(f, p.points())
+    return _samples(f, *_pattern(p))
 
 
 @dataclass(frozen=True)
@@ -247,11 +254,11 @@ def reconstruct_spectrum(samples, p: SamplePattern, j: FiniteSet, eval_points) -
     transform (the e^{+2 pi i lambda xi} variant circulating elsewhere
     does not reproduce the samples).
     """
-    lams = p.points()
+    nums, den = _pattern(p)
     samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (len(lams),):
-        raise ValueError("%d samples for %d pattern points" % (samples.size, len(lams)))
+    if samples.shape != (len(nums),):
+        raise ValueError("%d samples for %d pattern points" % (samples.size, len(nums)))
     xi = np.asarray(eval_points, dtype=float)
-    lam_f = np.array([float(l) for l in lams])
-    kernel = np.exp(-2j * np.pi * np.outer(xi, lam_f))
+    lams = (nums / den).astype(float)  # float(lam), correctly rounded
+    kernel = np.exp(-2j * np.pi * np.outer(xi, lams))
     return kernel @ samples / len(j)

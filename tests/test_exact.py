@@ -5,20 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from rational_geometry import dot, inverse, lattice_point, reduce_mod_lattice, solve
 from scalar_phases import cis as scalar_cis
 
 from spectralpairs import FiniteSet, build_evaluation_matrix
-from spectralpairs._exact import (
-    cis,
-    dot,
-    int_array,
-    inverse,
-    lattice_point,
-    mul,
-    over_2pi_i,
-    reduce_mod_lattice,
-    solve,
-)
+from spectralpairs._exact import adjugate, cis, int_array, mul, over_2pi_i
+from spectralpairs.domains import _reduce
 
 
 def test_quarter_phases_are_exact():
@@ -108,12 +100,17 @@ def test_solve_and_det_2d():
     gens = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
     t = solve(gens, (Fraction(3), Fraction(5)))
     assert lattice_point(gens, t) == (Fraction(3), Fraction(5))
+    # the integer solve: t = v adj(G) / det(G), G the generator rows
+    adj, det = adjugate([[1, 1], [0, 2]])
+    assert det == 2
+    assert tuple(Fraction(x, det) for x in np.array([3, 5], dtype=object) @ adj) == t
 
 
 def test_det_singular():
     gens = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
     with pytest.raises(ZeroDivisionError):
         solve(gens, (Fraction(1), Fraction(0)))
+    assert adjugate([[1, 2], [2, 4]])[1] == 0
 
 
 def test_inverse_roundtrip():
@@ -125,6 +122,13 @@ def test_inverse_roundtrip():
         image = tuple(dot(inv[r], col) for r in range(2))
         expected = tuple(Fraction(1) if r == i else Fraction(0) for r in range(2))
         assert image == expected
+    # over the denominator 6 the generator rows are [[3, 0], [2, 6]]: B^{-1} = 6 adj^T / det
+    adj, det = adjugate([[3, 0], [2, 6]])
+    assert tuple(tuple(Fraction(6 * x, det) for x in row) for row in adj.T.tolist()) == inv
+    for n in range(1, 6):
+        m = np.random.default_rng(n).integers(-9, 10, size=(n, n)).tolist()
+        adj, det = adjugate(m)
+        assert (np.array(m, dtype=object) @ adj == det * np.identity(n, dtype=int)).all()
 
 
 def test_reduce_mod_lattice():
@@ -133,3 +137,8 @@ def test_reduce_mod_lattice():
     assert reduce_mod_lattice(gens, (Fraction(-1, 4),)) == (Fraction(3, 4),)
     half = ((Fraction(1, 2),),)
     assert reduce_mod_lattice(half, (Fraction(2, 3),)) == (Fraction(1, 6),)
+    # the integer reduction: rows over one denominator
+    rows, den = _reduce(gens, [(Fraction(5, 4),), (Fraction(-1, 4),)])
+    assert [Fraction(x, den) for x in rows.ravel().tolist()] == [Fraction(1, 4), Fraction(3, 4)]
+    rows, den = _reduce(half, [(Fraction(2, 3),)])
+    assert Fraction(int(rows[0, 0]), den) == Fraction(1, 6)

@@ -1,0 +1,210 @@
+"""Differential tests: integer geometry in ``domains`` against the Fraction path.
+
+``Spectrum`` reduction, ``enumerate_spectrum``, ``root_of_unity_condition``,
+``BoxDomain.intersection_measure`` and ``analytics._shift_tags`` decide on
+integer numerators over one denominator.  The references in
+``rational_geometry`` are the Fraction functions they replaced.  Results,
+their order and the text of every error must be the same.  Each check
+also has one pinned case with integers past 2**62, which takes the
+Python-int path of ``_exact.int_array``.
+"""
+
+from fractions import Fraction
+
+import pytest
+import rational_geometry as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectralpairs import (
+    BoxDomain,
+    DuplicateSpectrumError,
+    FiniteSet,
+    NonInvertibleError,
+    OverlapError,
+    SamplePattern,
+    Spectrum,
+    UnsupportedPairError,
+    enumerate_spectrum,
+    root_of_unity_condition,
+    shift_spectrum,
+)
+from spectralpairs.analytics import _shift_tags
+from spectralpairs.domains import _numerators
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+SHEARS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+NONZERO = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+BIG = 2**63 + 1
+
+
+@st.composite
+def sheared_bases(draw, d):
+    """Generators G = L U, L unit lower and U upper triangular, with rational entries."""
+    diag = [draw(NONZERO) for _ in range(d)]
+    lower = [[Fraction(int(i == k)) if i <= k else draw(SHEARS) for k in range(d)]
+             for i in range(d)]
+    upper = [[diag[i] if i == k else draw(SHEARS) if i < k else Fraction(0)
+              for k in range(d)] for i in range(d)]
+    return tuple(tuple(sum(lower[i][m] * upper[m][k] for m in range(d)) for k in range(d))
+                 for i in range(d))
+
+
+@st.composite
+def spectra(draw):
+    """A sheared lattice with 1-4 shifts, distinct modulo the lattice."""
+    d = draw(st.integers(1, 2))
+    basis, shifts = draw(sheared_bases(d)), []
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(st.tuples(*[RATIONALS] * d))
+        try:
+            Spectrum(d, basis, (*shifts, v))
+            shifts.append(v)
+        except DuplicateSpectrumError:
+            pass
+    return Spectrum(d, basis, tuple(shifts))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (DuplicateSpectrumError, NonInvertibleError, UnsupportedPairError) as exc:
+        return type(exc), str(exc)
+
+
+RADII = st.sampled_from([0, Fraction(1, 2), 1, Fraction(5, 3), 2, 3]).map(Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(), RADII)
+def test_enumerate_spectrum_agrees_with_fraction_path(s, radius):
+    got = enumerate_spectrum(s, radius)
+    assert got == ref.enumerate_spectrum(s, radius)
+    assert all(type(c) is Fraction for p in got for c in p)
+
+
+@st.composite
+def reduction_cases(draw):
+    """Generators (sometimes singular) and shifts, some equal modulo the lattice."""
+    d = draw(st.integers(1, 3))
+    basis = draw(sheared_bases(d))
+    if draw(st.integers(0, 3)) == 0:
+        basis = basis[:-1] + (tuple(2 * c for c in basis[0]),) if d > 1 else ((Fraction(0),),)
+    shifts = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3)) // 2):  # a shift plus a lattice vector
+        z = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        v = draw(st.sampled_from(shifts))
+        shifts.append(ref.vec_add(v, ref.lattice_point(basis, z)))
+    return d, basis, tuple(draw(st.permutations(shifts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_spectrum_reduction_agrees_with_fraction_path(case):
+    d, basis, shifts = case
+    got = outcome(lambda: Spectrum(d, basis, shifts).shifts)
+    assert got == outcome(ref.reduced_shifts, basis, shifts)
+
+
+@st.composite
+def spectrum_and_set(draw, min_size=0):
+    """A spectrum and a set of multiples of step in Z_N, N = step q."""
+    s = draw(spectra())
+    step, q = draw(st.sampled_from([1, 2, 3, 6])), draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * s.dimension),
+                           min_size=min_size, max_size=4, unique=True))
+    return s, FiniteSet(step * q, s.dimension, tuple(tuple(step * c for c in p) for p in points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_and_set())
+def test_root_of_unity_agrees_with_fraction_path(case):
+    s, a = case
+    assert root_of_unity_condition(s, a) == ref.root_of_unity_condition(s, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_and_set(min_size=1), RADII, st.booleans())
+def test_shift_tags_agree_with_fraction_path(case, radius, laid_out):
+    base, j = case
+    try:
+        spec = shift_spectrum(base, j, j.modulus) if laid_out else base
+    except DuplicateSpectrumError:
+        return
+    points = enumerate_spectrum(spec, radius)
+    assert outcome(_shift_tags, spec, j, points) == outcome(ref.shift_tags, spec, j, points)
+
+
+@st.composite
+def domain_pairs(draw):
+    d = draw(st.integers(1, 3))
+    domains = []
+    for _ in range(2):
+        kept = []
+        for _ in range(draw(st.integers(1, 5))):
+            lo = draw(st.tuples(*[RATIONALS] * d))
+            hi = tuple(c + draw(NONZERO.map(abs)) for c in lo)
+            if all(not ref.box_overlap((lo, hi), box) for box in kept):
+                kept.append((lo, hi))
+        domains.append(BoxDomain(d, tuple(kept)))
+    return domains
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_pairs())
+def test_intersection_measure_agrees_with_fraction_path(pair):
+    one, two = pair
+    assert one.intersection_measure(two) == ref.intersection_measure(one, two)
+    assert one.intersection_measure(one) == one.measure
+
+
+def test_numerators_past_2_62_take_python_ints():
+    g = Fraction(BIG, 2**63)
+    basis = ((g, Fraction(1, 3)), (Fraction(1, 5), Fraction(BIG, 2**64)))
+    shifts = ((Fraction(1, 3), Fraction(-2, 7)), (Fraction(BIG, 11), Fraction(1, 2)))
+    assert _numerators([*basis, *shifts])[0].dtype == object
+    s = Spectrum(2, basis, shifts)
+    assert s.shifts == ref.reduced_shifts(basis, shifts)
+    for radius in (0, 1, Fraction(7, 2)):
+        assert enumerate_spectrum(s, radius) == ref.enumerate_spectrum(s, radius)
+    assert len(enumerate_spectrum(s, Fraction(7, 2))) > 4
+    # a shift plus a lattice vector, and a singular basis, raise with the same text
+    dup = shifts + (ref.vec_add(shifts[0], ref.lattice_point(basis, (2, -1))),)
+    assert outcome(lambda: Spectrum(2, basis, dup)) == outcome(ref.reduced_shifts, basis, dup)
+    singular = (basis[0], tuple(3 * c for c in basis[0]))
+    assert outcome(lambda: Spectrum(2, singular, shifts)) == (
+        NonInvertibleError, "lattice generators are linearly dependent")
+    # generators with numerators past 2**62 over the denominator 3
+    tall = Spectrum(2, ((Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2**64, 3))))
+    for points in ([(3, 0), (0, 6)], [(3, 0), (1, 3)], []):
+        a = FiniteSet(12, 2, tuple(points))
+        assert root_of_unity_condition(tall, a) == ref.root_of_unity_condition(tall, a)
+    assert root_of_unity_condition(tall, FiniteSet(12, 2, ((3, 0), (0, 3))))
+    assert not root_of_unity_condition(tall, FiniteSet(12, 2, ((1, 0),)))
+    tiny = Spectrum(1, ((Fraction(3, 2**64 + 1),),))  # small numerators, denominator past 2**63
+    for points in ([(0,)], [(0,), (2,)]):
+        a = FiniteSet(4, 1, tuple(points))
+        assert root_of_unity_condition(tiny, a) == ref.root_of_unity_condition(tiny, a)
+    j = FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1)))
+    spec = shift_spectrum(Spectrum(2, basis, shifts[:1]), j, 4)
+    points = enumerate_spectrum(spec, 3)
+    assert _shift_tags(spec, j, points) == ref.shift_tags(spec, j, points)
+    # boxes and sample points over a denominator past 2**62
+    wide = BoxDomain(1, (((Fraction(1, BIG),), (Fraction(2, 1),)), ((Fraction(3),), (g + 3,))))
+    other = wide.translate((Fraction(1, 2),))
+    assert wide.intersection_measure(other) == ref.intersection_measure(wide, other)
+    pattern = SamplePattern((Fraction(2, 3), Fraction(0), Fraction(1, BIG)), 2)
+    assert pattern.points() == sorted(Fraction(n) + s for s in pattern.shifts for n in range(-2, 3))
+
+
+def test_overlap_past_2_62_names_the_first_pair():
+    eps = Fraction(1, BIG)
+    boxes = (((0,), (1,)), ((1,), (2,)), ((2 - eps,), (3,)), ((1 - eps,), (1,)))
+    with pytest.raises(OverlapError) as err:
+        BoxDomain(1, boxes)
+    assert str(err.value) == "boxes 0 and 3 intersect with positive measure"
+    assert err.value.offending == (((0,), (1,)), ((1 - eps,), (1,)))
+    assert BoxDomain(1, boxes[:2] + (((2,), (2 + eps,)),)).measure == 2 + eps
