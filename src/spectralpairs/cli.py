@@ -4,8 +4,9 @@ Subcommands: classify, construct, gram, bounds, dual, biorth,
 sample-recon, search, figure.  Reports are JSON; plot data is RFC-4180
 CSV with a header row and complex values split into two columns.
 
-Exit codes: 0 success, 1 malformed input, 2 method hypotheses violated
-(a diagnostic report is still written in that case).
+Exit codes: 0 success, 1 malformed input or an unreadable or unwritable
+path, 2 method hypotheses violated (a diagnostic report is still written
+in that case).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .constructor import (
     combine_riesz,
 )
 from .domains import (
-    BoxDomain,
     enumerate_spectrum,
     integer_lattice,
     minkowski_translate,
@@ -66,42 +66,49 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_points(text: str) -> tuple[tuple[int, ...], ...]:
+def _points(text: str) -> tuple[tuple[int, ...], ...]:
     """'0,2' -> 1-d points; '0,0;2,0' -> 2-d points."""
     text = text.strip()
-    if ";" in text:
-        vectors = [tok for tok in text.split(";") if tok.strip()]
-        return tuple(tuple(int(c) for c in tok.split(",")) for tok in vectors)
-    return tuple((int(tok),) for tok in text.split(","))
-
-
-def _finite_set(ns, attr: str) -> FiniteSet:
-    raw = getattr(ns, attr, None)
-    if raw is None:
-        raise InputError("--%s is required for this subcommand" % attr)
-    if ns.N is None:
-        raise InputError("--N is required for this subcommand")
-    points = _parse_points(raw)
-    return FiniteSet(ns.N, len(points[0]), points)
-
-
-def _load_json(path: str) -> dict:
+    vectors = [tok for tok in text.split(";") if tok.strip()] if ";" in text else text.split(",")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            "malformed JSON in %s: %s (line %d, column %d)"
-            % (path, exc.msg, exc.lineno, exc.colno)
-        )
+        points = tuple(tuple(int(c) for c in tok.split(",")) for tok in vectors)
+        if points:
+            return points
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("invalid points %r (use '0,2' or '0,0;2,0')" % text)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid rational %r" % text) from None
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [_rational(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _finite_set(modulus: int | None, points, flag: str) -> FiniteSet:
+    if points is None:
+        raise InputError("--%s is required for this subcommand" % flag)
+    if modulus is None:
+        raise InputError("--N is required for this subcommand")
+    return FiniteSet(modulus, len(points[0]), points)
 
 
 def _parse_json(path: str, parse):
-    """parse(data) for the JSON in path; a missing key or a value of the
-    wrong shape is malformed input, not a crash."""
-    data = _load_json(path)
+    """parse(data) for the JSON in path; malformed JSON, a missing key or a
+    value of the wrong shape is malformed input, not a crash."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                "malformed JSON in %s: %s (line %d, column %d)"
+                % (path, exc.msg, exc.lineno, exc.colno)
+            )
     try:
         return parse(data)
     except KeyError as exc:
@@ -110,13 +117,17 @@ def _parse_json(path: str, parse):
         raise InputError("malformed input in %s: %s" % (path, exc)) from None
 
 
-def _emit_json(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
+def _write(text: str, out: str | None) -> None:
+    """text and a newline to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(data: dict, out: str | None) -> None:
+    _write(json.dumps(data, indent=2), out)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -126,8 +137,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _tolerances(ns) -> Tolerances:
-    tol = getattr(ns, "tol", None)
+def _tolerances(tol: float | None) -> Tolerances:
     if tol is None:
         return Tolerances()
     if not 0 < tol < 1e-3:
@@ -135,21 +145,20 @@ def _tolerances(ns) -> Tolerances:
     return Tolerances(unitary=tol, frame_lower=tol)
 
 
-def _base_pair(ns, dimension: int) -> ContinuousPair:
-    path = getattr(ns, "base", None)
+def _base_pair(path: str | None, dimension: int) -> ContinuousPair:
+    """The base pair in the JSON file path; by default the unit cube [0,1)^d with Z^d."""
     if path:
         return _parse_json(path, ContinuousPair.from_json_dict)
     return ContinuousPair.orthogonal(unit_box(dimension), integer_lattice(dimension))
 
 
 def _finite_pair(ns) -> tuple[FiniteSet, FiniteSet]:
-    path = getattr(ns, "finite", None)
-    if path:
+    if ns.finite:
         return _parse_json(
-            path,
+            ns.finite,
             lambda data: (FiniteSet.from_json_dict(data["A"]), FiniteSet.from_json_dict(data["J"])),
         )
-    return _finite_set(ns, "A"), _finite_set(ns, "J")
+    return _finite_set(ns.N, ns.A, "A"), _finite_set(ns.N, ns.J, "J")
 
 
 def _combined_pair(ns) -> ContinuousPair:
@@ -158,11 +167,10 @@ def _combined_pair(ns) -> ContinuousPair:
     Built unconditionally (no hypothesis gate) so that failing pairs can
     still be examined numerically; the kind label is left unclaimed.
     """
-    path = getattr(ns, "pair", None)
-    if path:
-        return _parse_json(path, ContinuousPair.from_json_dict)
+    if ns.pair:
+        return _parse_json(ns.pair, ContinuousPair.from_json_dict)
     a, j = _finite_pair(ns)
-    base = _base_pair(ns, a.dimension)
+    base = _base_pair(ns.base, a.dimension)
     domain = minkowski_translate(base.domain, a)
     spectrum = shift_spectrum(base.spectrum, j, j.modulus)
     return ContinuousPair(domain, spectrum, PairKind.NONE, 0.0, 0.0)
@@ -173,7 +181,7 @@ def _combined_pair(ns) -> ContinuousPair:
 
 def _cmd_classify(ns) -> int:
     a, j = _finite_pair(ns)
-    classification = classify_finite_pair(a, j, _tolerances(ns))
+    classification = classify_finite_pair(a, j, _tolerances(ns.tol))
     matrix = build_evaluation_matrix(a, j)
     report = {
         "A": a.to_json_dict(),
@@ -187,8 +195,8 @@ def _cmd_classify(ns) -> int:
 
 def _cmd_construct(ns) -> int:
     a, j = _finite_pair(ns)
-    base = _base_pair(ns, a.dimension)
-    result: CombinedPairResult = _COMBINERS[ns.kind](base, a, j, _tolerances(ns))
+    base = _base_pair(ns.base, a.dimension)
+    result: CombinedPairResult = _COMBINERS[ns.kind](base, a, j, _tolerances(ns.tol))
     _emit_json(result.to_json_dict(), ns.out)
     if not result.ok:
         for check in result.failed_checks():
@@ -199,9 +207,9 @@ def _cmd_construct(ns) -> int:
 
 def _cmd_gram(ns) -> int:
     pair = _combined_pair(ns)
-    gram = build_gram(pair.domain, pair.spectrum, Fraction(ns.radius))
+    gram = build_gram(pair.domain, pair.spectrum, ns.radius)
     report = {
-        "radius": str(Fraction(ns.radius)),
+        "radius": str(ns.radius),
         "measure": float(pair.domain.measure),
         "max_offdiagonal": gram.max_offdiagonal(),
         "eigenvalues": [float(e) for e in gram.eigenvalues()],
@@ -213,11 +221,10 @@ def _cmd_gram(ns) -> int:
 
 def _cmd_bounds(ns) -> int:
     pair = _combined_pair(ns)
-    radii = [Fraction(tok) for tok in ns.radii.split(",") if tok.strip()]
-    bounds = estimate_frame_bounds(pair.domain, pair.spectrum, radii)
+    bounds = estimate_frame_bounds(pair.domain, pair.spectrum, ns.radii)
     report = {
         "label": "estimated",  # truncated-Gram values, not certificates
-        "radii": [str(r) for r in radii],
+        "radii": [str(r) for r in ns.radii],
         "bounds": [[lo, hi] for lo, hi in bounds],
     }
     _emit_json(report, ns.out)
@@ -225,14 +232,14 @@ def _cmd_bounds(ns) -> int:
         _write_csv(
             ns.csv,
             ["radius", "lower", "upper"],
-            [[str(r), lo, hi] for r, (lo, hi) in zip(radii, bounds)],
+            [[str(r), lo, hi] for r, (lo, hi) in zip(ns.radii, bounds)],
         )
     return 0
 
 
 def _cmd_dual(ns) -> int:
     a, j = _finite_pair(ns)
-    base = _base_pair(ns, a.dimension)
+    base = _base_pair(ns.base, a.dimension)
     dual = DualBasis.build(base.domain, a, j)
     _emit_json({"A": a.to_json_dict(), "J": j.to_json_dict(), **dual.to_json_dict()}, ns.out)
     if ns.csv:
@@ -247,13 +254,10 @@ def _cmd_dual(ns) -> int:
 
 def _cmd_biorth(ns) -> int:
     a, j = _finite_pair(ns)
-    base = _base_pair(ns, a.dimension)
-    defect = verify_biorthogonality(base.domain, base.spectrum, a, j, Fraction(ns.radius))
+    base = _base_pair(ns.base, a.dimension)
+    defect = verify_biorthogonality(base.domain, base.spectrum, a, j, ns.radius)
     measure = float(base.domain.measure) * len(a)
-    _emit_json(
-        {"radius": str(Fraction(ns.radius)), "measure": measure, "max_defect": defect},
-        ns.out,
-    )
+    _emit_json({"radius": str(ns.radius), "measure": measure, "max_defect": defect}, ns.out)
     return 0
 
 
@@ -261,7 +265,8 @@ def _cmd_sample_recon(ns) -> int:
     a, j = _finite_pair(ns)
     if a.dimension != 1:
         raise InputError("sample-recon is one-dimensional")
-    omega = minkowski_translate(_base_pair(ns, 1).domain, a)
+    # [0,1) + A sampled on Z + J/N: the setting that verify_alias_cancellation certifies
+    omega = minkowski_translate(unit_box(1), a)
     signal = BandlimitedSignal.indicator(omega)
     pattern = SamplePattern.from_finite_set(j, ns.M)
     samples = sample_signal(signal, pattern)
@@ -279,8 +284,7 @@ def _cmd_sample_recon(ns) -> int:
         [x, est.real, est.imag, abs(est - t)]
         for x, est, t in zip(xs, estimates, truth)
     ]
-    out_csv = ns.out or "sample_recon.csv"
-    _write_csv(out_csv, ["xi", "re", "im", "error"], rows)
+    _write_csv(ns.out, ["xi", "re", "im", "error"], rows)
 
     k_max = 2 * a.modulus
     report = verify_alias_cancellation(a, j, (-k_max, k_max))
@@ -288,7 +292,7 @@ def _cmd_sample_recon(ns) -> int:
         np.sqrt(np.mean(np.abs(estimates - truth) ** 2) / np.mean(np.abs(truth) ** 2))
     )
     _emit_json(
-        {"csv": out_csv, "samples": len(samples), "relative_l2_error": rel_error,
+        {"csv": ns.out, "samples": len(samples), "relative_l2_error": rel_error,
          "alias": report.to_json_dict()},
         ns.report,
     )
@@ -306,24 +310,11 @@ def _cmd_search(ns) -> int:
         dedup_translates=not ns.no_dedup,
         seed=ns.seed,
     )
-    result = enumerate_pairs(query, _tolerances(ns))
+    result = enumerate_pairs(query, _tolerances(ns.tol))
     lines = [json.dumps(m.to_json_dict()) for m in result.matches]
-    meta = json.dumps(
-        {
-            "meta": {
-                "exhaustive": result.exhaustive,
-                "partial": result.partial,
-                "examined": result.examined,
-                "seed": result.seed,
-            }
-        }
-    )
-    text = "\n".join(lines + [meta])
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    meta = {"exhaustive": result.exhaustive, "partial": result.partial,
+            "examined": result.examined, "seed": result.seed}
+    _write("\n".join(lines + [json.dumps({"meta": meta})]), ns.out)
     return 0
 
 
@@ -331,16 +322,10 @@ def _figure_pairs() -> dict[str, tuple[ContinuousPair, tuple[str, ...]]]:
     """Figure name -> (pair, the CSV files written for it: domain and/or points)."""
     fig2_a = FiniteSet.from_ints(4, [0, 2])
     fig2_j = FiniteSet.from_ints(4, [0, 1])
-    base1 = ContinuousPair.orthogonal(
-        BoxDomain.interval(0, 1), integer_lattice(1)
-    )
-    fig2 = combine_orthogonal(base1, fig2_a, fig2_j).pair
+    fig2 = combine_orthogonal(_base_pair(None, 1), fig2_a, fig2_j).pair
     fig3 = cartesian_product(fig2, fig2)
-    base2 = ContinuousPair.orthogonal(
-        BoxDomain.from_boxes([((0, 0), (1, 1))]), integer_lattice(2)
-    )
     fig1 = combine_riesz(
-        base2,
+        _base_pair(None, 2),
         FiniteSet(4, 2, ((0, 0), (2, 0))),
         FiniteSet(4, 2, ((0, 0), (1, 0))),
     ).pair
@@ -378,107 +363,101 @@ def _cmd_figure(ns) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+# flags that several subcommands take, each declared once
+_SHARED = {
+    "--N": dict(type=int, help="modulus of the finite group"),
+    "--A": dict(type=_points, help="points of A: '0,2' or '0,0;2,0'"),
+    "--J": dict(type=_points, help="points of J: same format as --A"),
+    "--finite": dict(help="JSON file with {'A': ..., 'J': ...}"),
+    "--base": dict(help="base pair JSON (default: unit cube with Z^d)"),
+    "--pair": dict(help="combined pair JSON"),
+    "--tol": dict(type=float),
+    "--out": dict(help="report path (default stdout)"),
+}
+_FINITE = ("--N", "--A", "--J", "--finite")
 
-def _add_finite_flags(sub) -> None:
-    sub.add_argument("--N", type=int, help="modulus of the finite group")
-    sub.add_argument("--A", help="points of A: '0,2' or '0,0;2,0'")
-    sub.add_argument("--J", help="points of J: same format as --A")
-    sub.add_argument("--finite", help="JSON file with {'A': ..., 'J': ...}")
+# subcommand -> (handler, help, the shared flags it takes, its own flags)
+_COMMANDS = {
+    "classify": (
+        _cmd_classify, "classify a finite pair in Z_N^d", _FINITE + ("--tol", "--out"), {}
+    ),
+    "construct": (
+        _cmd_construct, "combine a base pair with a finite pair",
+        _FINITE + ("--base", "--tol", "--out"),
+        {"--kind": dict(choices=sorted(_COMBINERS), default="orthogonal")},
+    ),
+    "gram": (
+        _cmd_gram, "Gram matrix of a combined pair", _FINITE + ("--base", "--pair", "--out"),
+        {"--radius": dict(type=_rational, default="5")},
+    ),
+    "bounds": (
+        _cmd_bounds, "frame-bound estimates over growing radii",
+        _FINITE + ("--base", "--pair", "--out"),
+        {
+            "--radii": dict(type=_rationals, default="2,4,8"),
+            "--csv": dict(help="also write radius/lower/upper CSV here"),
+        },
+    ),
+    "dual": (
+        _cmd_dual, "biorthogonal dual data for a finite pair", _FINITE + ("--base", "--out"),
+        {"--csv": dict(help="also write piecewise dual coefficients here")},
+    ),
+    "biorth": (
+        _cmd_biorth, "biorthogonality defect of the dual system", _FINITE + ("--base", "--out"),
+        {"--radius": dict(type=_rational, default="3")},
+    ),
+    "sample-recon": (
+        _cmd_sample_recon, "sampling reconstruction on [0,1) + A from Z + J/N", _FINITE,
+        {
+            "--M": dict(type=int, default=32, help="pattern truncation"),
+            "--grid": dict(type=int, default=256),
+            "--out": dict(default="sample_recon.csv", help="output CSV path"),
+            "--report": dict(help="JSON report path (default stdout)"),
+        },
+    ),
+    "search": (
+        _cmd_search, "enumerate Riesz/orthogonal pairs in Z_N^d", ("--tol", "--out"),
+        {
+            "--N": dict(_SHARED["--N"], required=True),
+            "--d": dict(type=int, default=1),
+            "--k": dict(type=int, required=True),
+            "--kind": dict(choices=["riesz", "orthogonal"], default="orthogonal"),
+            "--limit": dict(type=int),
+            "--budget": dict(type=float, help="time budget in seconds"),
+            "--seed": dict(type=int),
+            "--no-dedup": dict(action="store_true"),
+        },
+    ),
+    "figure": (
+        _cmd_figure, "CSV data reproducing the bundled figures", (),
+        {"name": dict(help="fig1 | fig2 | fig3 | fig4"), "--out": dict(default=".")},
+    ),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spectralpairs", description=__doc__)
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("classify", help="classify a finite pair in Z_N^d")
-    _add_finite_flags(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
-
-    p = subs.add_parser("construct", help="combine a base pair with a finite pair")
-    _add_finite_flags(p)
-    p.add_argument("--base", help="base pair JSON (default: unit cube with Z^d)")
-    p.add_argument("--kind", choices=sorted(_COMBINERS), default="orthogonal")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_construct)
-
-    p = subs.add_parser("gram", help="Gram matrix of a combined pair")
-    _add_finite_flags(p)
-    p.add_argument("--base")
-    p.add_argument("--pair", help="combined pair JSON")
-    p.add_argument("--radius", default="5")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gram)
-
-    p = subs.add_parser("bounds", help="frame-bound estimates over growing radii")
-    _add_finite_flags(p)
-    p.add_argument("--base")
-    p.add_argument("--pair")
-    p.add_argument("--radii", default="2,4,8")
-    p.add_argument("--csv", help="also write radius/lower/upper CSV here")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = subs.add_parser("dual", help="biorthogonal dual data for a finite pair")
-    _add_finite_flags(p)
-    p.add_argument("--base")
-    p.add_argument("--csv", help="also write piecewise dual coefficients here")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dual)
-
-    p = subs.add_parser("biorth", help="biorthogonality defect of the dual system")
-    _add_finite_flags(p)
-    p.add_argument("--base")
-    p.add_argument("--radius", default="3")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_biorth)
-
-    p = subs.add_parser("sample-recon", help="sampling reconstruction demo data")
-    _add_finite_flags(p)
-    p.add_argument("--base")
-    p.add_argument("--M", type=int, default=32, help="pattern truncation")
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--report", help="JSON report path (default stdout)")
-    p.set_defaults(func=_cmd_sample_recon)
-
-    p = subs.add_parser("search", help="enumerate Riesz/orthogonal pairs in Z_N^d")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", choices=["riesz", "orthogonal"], default="orthogonal")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_search)
-
-    p = subs.add_parser("figure", help="CSV data reproducing the bundled figures")
-    p.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_figure)
-
+    for command, (func, help_text, shared, own) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        for flag, spec in own.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        ns = parser.parse_args(argv)
-        if not getattr(ns, "func", None):
+        ns = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if ns.command is None:
             parser.print_usage(sys.stderr)
             return 1
         return ns.func(ns)
-    except (SpectralPairError, ValueError) as exc:
+    except (SpectralPairError, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -149,11 +149,10 @@ def build_evaluation_matrix(a: FiniteSet, j: FiniteSet) -> EvaluationMatrix:
 
 
 def _checked_inverse(f: np.ndarray) -> np.ndarray:
-    """F^{-1} for a square evaluation matrix whose condition number is within the cap."""
+    """F^{-1} for a square evaluation matrix that the classification rule calls a Riesz basis."""
     if f.shape[0] != f.shape[1]:
         raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
-    sigma = np.linalg.svd(f, compute_uv=False)
-    if sigma[-1] == 0 or sigma[0] / sigma[-1] > Tolerances().condition_cap:
+    if _classify_stacked(f[None], Tolerances())[0][0] < PairKind.RIESZ_BASIS.rank:
         raise NonInvertibleError("evaluation matrix is singular or ill-conditioned")
     return np.linalg.inv(f)
 

@@ -44,6 +44,12 @@ class SearchQuery:
     samples: int = 2000  # random pairs examined when not exhaustive
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("modulus must be a positive integer")
+        if self.dimension < 1:
+            raise ValueError("dimension must be a positive integer")
+        if self.max_results is not None and self.max_results < 0:
+            raise ValueError("max_results must be non-negative")
         if self.cardinality < 1 or self.cardinality > self.modulus**self.dimension:
             raise ValueError(
                 "cardinality %d not in [1, %d]" % (self.cardinality, self.modulus**self.dimension)

@@ -111,6 +111,40 @@ class TestInputHandling:
         assert err.startswith("input error:") and str(path) in err and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["classify", "--N", "4", "--A", ";", "--J", "0"], "argument --A: invalid points"),
+            (["gram", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "1/0"],
+             "argument --radius: invalid rational '1/0'"),
+            (["bounds", "--N", "4", "--A", "0,2", "--J", "0,1", "--radii", "2,1/0"],
+             "argument --radii: invalid rational '1/0'"),
+            (["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--out", "{tmp}/no/r.json"],
+             "No such file or directory"),
+            (["bounds", "--N", "4", "--A", "0,2", "--J", "0,1", "--csv", "{tmp}/no/b.csv"],
+             "No such file or directory"),
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
+              "--out", "{tmp}/s.csv", "--report", "{tmp}/no/r.json"], "No such file or directory"),
+            (["figure", "fig2", "--out", "{tmp}/base.json"], "File exists"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base", "{tmp}"],
+             "Is a directory"),
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1", "--base", "{tmp}/base.json"],
+             "unrecognized arguments: --base"),
+            (["search", "--N", "4", "--d", "0", "--k", "1"], "dimension must be a positive integer"),
+            (["search", "--N", "4", "--k", "2", "--limit", "-1"], "max_results must be non-negative"),
+        ],
+        ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
+             "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
+             "sample-recon-base", "search-dimension-zero", "search-negative-limit"],
+    )
+    def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
+        base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
+        (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1 and named in err
+        assert "Traceback" not in err
+
     def test_tolerance_range_enforced(self, capsys):
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0.5"]) == 1
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0"]) == 1

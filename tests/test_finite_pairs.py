@@ -7,6 +7,7 @@ from spectralpairs import (
     DimensionMismatchError,
     FiniteSet,
     InsufficientSpectrumError,
+    NonInvertibleError,
     PairKind,
     SymmetryUndefinedError,
     build_evaluation_matrix,
@@ -15,6 +16,7 @@ from spectralpairs import (
     symbol_of_set,
     transpose_pair,
 )
+from spectralpairs.finite_pairs import Tolerances, _checked_inverse, _classify_stacked
 from scalar_phases import cis
 from fractions import Fraction
 
@@ -161,6 +163,18 @@ class TestClassification:
                 classify_finite_pair(a.translate(t), j).kind
                 == classify_finite_pair(a, j).kind
             )
+
+    @pytest.mark.parametrize("largest", [1e12, 1e12 / 2, 4.0])
+    def test_inverse_exists_exactly_for_riesz_ranks(self, largest):
+        # condition number largest / 1: at the cap the classification says frame, so no inverse
+        f = np.diag([largest, 1.0]).astype(complex)
+        riesz = _classify_stacked(f[None], Tolerances())[0][0] >= PairKind.RIESZ_BASIS.rank
+        assert riesz == (largest < Tolerances().condition_cap)
+        if riesz:
+            assert np.array_equal(_checked_inverse(f), np.linalg.inv(f))
+        else:
+            with pytest.raises(NonInvertibleError):
+                _checked_inverse(f)
 
 
 class TestMutualOrthogonality:

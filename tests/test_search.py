@@ -157,6 +157,18 @@ class TestEnumeratePairs:
         with pytest.raises(ValueError):
             SearchQuery(3, 1, 10)
 
+    @pytest.mark.parametrize(
+        "args,limit,message",
+        [
+            ((0, 1, 1), None, "modulus must be a positive integer"),
+            ((4, 0, 1), None, "dimension must be a positive integer"),
+            ((4, 1, 2), -1, "max_results must be non-negative"),
+        ],
+    )
+    def test_invalid_integers(self, args, limit, message):
+        with pytest.raises(ValueError, match=message):
+            SearchQuery(*args, max_results=limit)
+
 
 class TestHadamardReport:
     def test_unitary_pair(self):
