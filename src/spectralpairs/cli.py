@@ -137,6 +137,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _writable(path: str) -> str:
+    """path, or the OSError that writing a file there would raise; leaves no file behind."""
+    try:
+        open(path, "x").close()
+        os.remove(path)
+    except FileExistsError:
+        open(path, "a").close()
+    return path
+
+
 def _tolerances(tol: float | None) -> Tolerances:
     if tol is None:
         return Tolerances()
@@ -372,7 +382,7 @@ _SHARED = {
     "--base": dict(help="base pair JSON (default: unit cube with Z^d)"),
     "--pair": dict(help="combined pair JSON"),
     "--tol": dict(type=float),
-    "--out": dict(help="report path (default stdout)"),
+    "--out": dict(type=_writable, help="report path (default stdout)"),
 }
 _FINITE = ("--N", "--A", "--J", "--finite")
 
@@ -395,12 +405,12 @@ _COMMANDS = {
         _FINITE + ("--base", "--pair", "--out"),
         {
             "--radii": dict(type=_rationals, default="2,4,8"),
-            "--csv": dict(help="also write radius/lower/upper CSV here"),
+            "--csv": dict(type=_writable, help="also write radius/lower/upper CSV here"),
         },
     ),
     "dual": (
         _cmd_dual, "biorthogonal dual data for a finite pair", _FINITE + ("--base", "--out"),
-        {"--csv": dict(help="also write piecewise dual coefficients here")},
+        {"--csv": dict(type=_writable, help="also write piecewise dual coefficients here")},
     ),
     "biorth": (
         _cmd_biorth, "biorthogonality defect of the dual system", _FINITE + ("--base", "--out"),
@@ -411,8 +421,8 @@ _COMMANDS = {
         {
             "--M": dict(type=int, default=32, help="pattern truncation"),
             "--grid": dict(type=int, default=256),
-            "--out": dict(default="sample_recon.csv", help="output CSV path"),
-            "--report": dict(help="JSON report path (default stdout)"),
+            "--out": dict(type=_writable, default="sample_recon.csv", help="output CSV path"),
+            "--report": dict(type=_writable, help="JSON report path (default stdout)"),
         },
     ),
     "search": (

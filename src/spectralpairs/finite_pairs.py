@@ -169,19 +169,25 @@ def _unitary_defect(f: np.ndarray) -> np.ndarray:
     return np.abs(gram - f.shape[-2] * np.eye(f.shape[-1])).max(axis=(-2, -1))
 
 
-def _classify_stacked(f: np.ndarray, tolerances: Tolerances):
-    """Kind ranks (indices into _KINDS), lower and upper frame constants and condition
-    numbers of each matrix in a stack f of shape (m, #J, #A), #J >= #A."""
+def _classify_stacked(f: np.ndarray, tolerances: Tolerances, least: PairKind = PairKind.NONE):
+    """Kind ranks (indices into _KINDS), lower and upper frame constants, condition numbers
+    and stack indices of the matrices of kind at least ``least`` in a stack f of shape
+    (m, #J, #A), #J >= #A.  Orthogonality rests on the unitary defect alone, so for an
+    orthogonal ``least`` only the square matrices that the defect passes get an SVD."""
+    square, index = f.shape[1] == f.shape[2], np.arange(len(f))
+    if square and least is PairKind.ORTHOGONAL_BASIS:
+        index = np.flatnonzero(_unitary_defect(f) < tolerances.unitary)
+        f = f[index]
     sigma = np.linalg.svd(f, compute_uv=False)
     largest, smallest = sigma[:, 0], sigma[:, -1]
     condition = np.divide(largest, smallest, out=np.full(len(f), np.inf), where=smallest > 0)
     # float_power rounds as a float64 scalar's ** does (libm pow), not as x * x
     lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
-    square = f.shape[1] == f.shape[2]
     orthogonal = square and _unitary_defect(f) < tolerances.unitary
     riesz = square and condition < tolerances.condition_cap
     ranks = np.select([orthogonal, riesz, lower > tolerances.frame_lower], [3, 2, 1], 0)
-    return ranks, lower, upper, condition
+    keep = ranks >= least.rank
+    return ranks[keep], lower[keep], upper[keep], condition[keep], index[keep]
 
 
 def classify_finite_pair(
@@ -199,10 +205,8 @@ def classify_finite_pair(
             "#J = %d < #A = %d: no frame classification" % (len(j), len(a))
         )
     f = build_evaluation_matrix(a, j).entries[None]
-    ranks, lower, upper, condition = _classify_stacked(f, tolerances)
-    return FiniteClassification(
-        _KINDS[ranks[0]], float(lower[0]), float(upper[0]), float(condition[0])
-    )
+    rank, *bounds = (x[0].item() for x in _classify_stacked(f, tolerances)[:4])
+    return FiniteClassification(_KINDS[rank], *bounds)
 
 
 def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:

@@ -7,12 +7,13 @@ lexicographically minimal among their translates containing 0.  Such a
 canonical representative starts with 0, so only subsets holding 0 are
 generated.  Groups with more than 16 elements fall back to seeded random
 sampling, which draws indices and never builds the group.  Both classify
-pairs in fixed-size stacked chunks and build ``FiniteSet``s only for matches.
+pairs in fixed-size stacked chunks, an orthogonal query screening each on
+the unitary defect so that only the pairs it passes get an SVD, and build
+``FiniteSet``s only for matches.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -81,29 +82,40 @@ class SearchResult:
     seed: int | None
 
 
-def _translate_subset(subset, t, n):
-    return tuple(sorted(tuple((c - tc) % n for c, tc in zip(p, t)) for p in subset))
+def _canonical(points: np.ndarray, n: int) -> np.ndarray:
+    """The canonical form of each subset in an (m, k, d) array of points of Z_n^d: all
+    k translates of all m subsets at once, ravelled to sorted rows of row-major element
+    codes, of which each subset keeps the lexicographically smallest."""
+    m, k, d = points.shape
+    place = int_array([n**e for e in range(d - 1, -1, -1)], n**d)
+    translates = points[:, None] - points[:, :, None]  # [i, t]: subset i minus its point t
+    translates %= n
+    codes = np.sort(translates @ place, axis=-1).reshape(m * k, k)
+    # codes order points as tuples do; the subset index is the primary sort key
+    first = np.lexsort((*codes.T[::-1], np.repeat(np.arange(m), k)))[::k]
+    return codes[first, :, None] // place % n
 
 
 def canonical_form(subset, n: int) -> tuple:
     """Lexicographically minimal translate of the subset that contains 0."""
-    return min(_translate_subset(subset, t, n) for t in subset)
+    points = int_array([[c % n for c in p] for p in subset], n ** len(subset[0]))
+    return tuple(map(tuple, _canonical(points[None], n)[0].tolist()))
 
 
-def _subsets(n: int, d: int, k: int, dedup: bool) -> list[tuple]:
-    """k-subsets of Z_n^d in ``itertools.combinations`` order; with ``dedup``,
-    the canonical ones, which all start with 0 and so come first in that order."""
-    elements = list(itertools.product(range(n), repeat=d))
-    if not dedup:
-        return list(itertools.combinations(elements, k))
-    candidates = ((elements[0],) + c for c in itertools.combinations(elements[1:], k - 1))
-    return [s for s in candidates if s == canonical_form(s, n)]
+def _subsets(n: int, d: int, k: int, dedup: bool) -> np.ndarray:
+    """Points (m, k, d) of the k-subsets of Z_n^d in ``itertools.combinations`` order;
+    with ``dedup``, of the canonical ones, which all start with 0 and so come first."""
+    codes = itertools.combinations(range(n**d), k)
+    if dedup:
+        codes = ((0,) + c for c in itertools.combinations(range(1, n**d), k - 1))
+    subsets = np.stack(np.unravel_index(np.array(list(codes)), (n,) * d), axis=-1)
+    return subsets[(_canonical(subsets, n) == subsets).all(axis=(1, 2))] if dedup else subsets
 
 
 _CHUNK_ENTRIES = 1 << 20  # evaluation-matrix entries classified per stacked chunk
 
 
-def _exhaustive_chunks(subsets: list[tuple], size: int):
+def _exhaustive_chunks(subsets: np.ndarray, size: int):
     """(subsets, ia, ij) for all pairs (subsets[ia], subsets[ij]), A-major, ``size`` at a time."""
     m = len(subsets)
     for start in range(0, m * m, size):
@@ -117,10 +129,9 @@ def _sampled_chunks(n: int, d: int, k: int, q: SearchQuery, rng, size: int):
     for start in range(0, q.samples, size):
         draws = 2 * min(size, q.samples - start)
         sel = np.sort([rng.choice(n**d, size=k, replace=False) for _ in range(draws)])
-        coords = np.stack(np.unravel_index(sel, (n,) * d), axis=-1).tolist()
-        subsets = [tuple(map(tuple, s)) for s in coords]
+        subsets = np.stack(np.unravel_index(sel, (n,) * d), axis=-1)
         if q.dedup_translates:
-            subsets = [canonical_form(s, n) for s in subsets]
+            subsets = _canonical(subsets, n)
         yield subsets, np.arange(0, draws, 2), np.arange(1, draws, 2)
 
 
@@ -148,23 +159,27 @@ def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> Se
         chunks, total = _sampled_chunks(n, d, k, q, rng, size), q.samples
 
     limit = total if q.max_results is None else q.max_results  # total: no pair beyond it
-    finite = functools.cache(lambda s: FiniteSet(n, d, s))  # one FiniteSet per subset
     kinds = tuple(PairKind)  # in rank order
     matches: list[SearchMatch] = []
     examined, partial = 0, False
+    finite: dict[int, FiniteSet] = {}  # subset row -> FiniteSet, built for matches only
     for subsets, ia, ij in chunks:
         if len(matches) >= limit or (deadline is not None and time.monotonic() > deadline):
             partial = True
             break
-        points = int_array(subsets, d * n * n).reshape(len(subsets), -1, d)
+        points = int_array(subsets, d * n * n)
         f = cis(-(points[ij] @ np.swapaxes(points[ia], 1, 2)), n)
-        ranks, lower, upper, condition = _classify_stacked(f, tolerances)
-        hits = np.flatnonzero(ranks >= q.target_kind.rank)[: limit - len(matches)]
-        for h in hits.tolist():
-            a, j = finite(subsets[ia[h]]), finite(subsets[ij[h]])
-            kind = kinds[ranks[h]]
-            bounds = float(lower[h]), float(upper[h]), float(condition[h])
-            matches.append(SearchMatch(a, j, FiniteClassification(kind, *bounds)))
+        found = _classify_stacked(f, tolerances, q.target_kind)
+        ranks, lower, upper, condition, hits = (x[: limit - len(matches)] for x in found)
+        a_rows, j_rows = ia[hits].tolist(), ij[hits].tolist()
+        if not exhaustive:
+            finite.clear()  # each sampled chunk draws new subsets
+        for i in {*a_rows, *j_rows}.difference(finite):
+            finite[i] = FiniteSet(n, d, points[i].tolist())
+        columns = (ranks, lower, upper, condition)
+        for a, j, rank, *bounds in zip(a_rows, j_rows, *(c.tolist() for c in columns)):
+            classification = FiniteClassification(kinds[rank], *bounds)
+            matches.append(SearchMatch(finite[a], finite[j], classification))
         if len(matches) >= limit:
             examined += int(hits[-1]) + 1
             partial = examined < total

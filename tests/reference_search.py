@@ -1,10 +1,12 @@
-"""The per-pair search loop that the batched classifier in ``search`` replaced.
+"""The per-pair search loop that the batched classifier in ``search`` replaced,
+and the scalar canonical form that its array kernel replaced.
 
-Kept as the reference the differential tests compare against: every pair
+Kept as the references the differential tests compare against: every pair
 gets its own two ``FiniteSet``s, its own evaluation matrix, SVD and
 unitarity defect, and the deadline and ``max_results`` are checked
-before each pair.  Deduplication filters every k-subset of the group,
-and sampling indexes a list of all group elements.
+before each pair.  Deduplication filters every k-subset of the group
+through ``canonical_form``, which sorts every translate of the subset in
+Python, and sampling indexes a list of all group elements.
 """
 
 import itertools
@@ -20,9 +22,17 @@ from spectralpairs import (
     SearchResult,
     Tolerances,
     build_evaluation_matrix,
-    canonical_form,
 )
 from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT
+
+
+def _translate_subset(subset, t, n):
+    return tuple(sorted(tuple((c - tc) % n for c, tc in zip(p, t)) for p in subset))
+
+
+def canonical_form(subset, n: int) -> tuple:
+    """Lexicographically minimal translate of the subset that contains 0."""
+    return min(_translate_subset(subset, t, n) for t in subset)
 
 
 def classify(a: FiniteSet, j: FiniteSet, tolerances: Tolerances) -> FiniteClassification:

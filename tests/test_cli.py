@@ -145,6 +145,21 @@ class TestInputHandling:
         assert err.startswith("input error:") and err.count("\n") == 1 and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
+             "--out", "{tmp}/s.csv", "--report", "{tmp}/no/r.json"],
+            ["bounds", "--N", "4", "--A", "0,2", "--J", "0,1", "--csv", "{tmp}/no/b.csv"],
+        ],
+        ids=["sample-recon-report", "bounds-csv"],
+    )
+    def test_unwritable_output_leaves_no_partial_result(self, tmp_path, capsys, argv):
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_tolerance_range_enforced(self, capsys):
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0.5"]) == 1
         assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0"]) == 1

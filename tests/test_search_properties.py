@@ -5,17 +5,22 @@ per chunk and, with deduplication, generates only subsets that start
 with 0.  The reference in ``reference_search`` is the loop it replaced:
 one ``FiniteSet`` pair, evaluation matrix and SVD per pair, and a
 canonical-form filter over every k-subset.  Both must visit the same
-pairs in the same order and report the same floats bit for bit.
+pairs in the same order and report the same floats bit for bit.  The
+array kernel that canonicalises a stack of subsets is checked against the
+scalar ``canonical_form`` kept there too.
 """
 
+import itertools
 from math import comb
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_search import canonical_form as reference_canonical_form
 from reference_search import enumerate_pairs as reference_enumerate_pairs
 
-from spectralpairs import PairKind, SearchQuery, enumerate_pairs
-from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT
+from spectralpairs import PairKind, SearchQuery, canonical_form, enumerate_pairs
+from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT, _canonical
 
 MAX_REFERENCE_SUBSETS = 60  # keeps the reference loop under ~3,600 pairs
 
@@ -58,5 +63,34 @@ def _summary(result):
 @given(queries())
 # one Riesz pair here has a singular value whose square differs from x * x in the last bit
 @example(SearchQuery(10, 1, 4, PairKind.RIESZ_BASIS))
+# no orthogonal pair: the screen leaves an empty stack for the SVD
+@example(SearchQuery(4, 2, 3, PairKind.ORTHOGONAL_BASIS))
+# a group of exactly EXHAUSTIVE_GROUP_LIMIT elements is still searched exhaustively
+@example(SearchQuery(16, 1, 4, PairKind.ORTHOGONAL_BASIS))
+# the first match is pair 12 of 40: examined counts the 11 screened pairs before it
+@example(SearchQuery(6, 2, 2, PairKind.ORTHOGONAL_BASIS, max_results=1, seed=2, samples=40))
 def test_chunked_search_matches_per_pair_loop(q):
     assert _summary(enumerate_pairs(q)) == _summary(reference_enumerate_pairs(q))
+
+
+@st.composite
+def subset_stacks(draw):
+    """(n, d, subsets): a few k-subsets of Z_n^d as element codes, in no particular order."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    k = draw(st.one_of(st.just(1), st.just(n**d), st.integers(1, min(n**d, 12))))
+    m = draw(st.integers(1, 4))
+    return n, d, [draw(st.permutations(range(n**d)))[:k] for _ in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subset_stacks())
+@example((8, 3, [list(range(512))]))
+@example((5, 2, [[7], [0], [24]]))
+def test_canonical_kernel_matches_scalar_reference(case):
+    n, d, subsets = case
+    elements = list(itertools.product(range(n), repeat=d))  # row-major: code i is elements[i]
+    points = [[elements[c] for c in s] for s in subsets]
+    want = [reference_canonical_form(s, n) for s in points]
+    assert [tuple(map(tuple, s)) for s in _canonical(np.array(points), n).tolist()] == want
+    assert [canonical_form(s, n) for s in points] == want
