@@ -91,20 +91,14 @@ def over_2pi_i(a, t) -> np.ndarray:
     return out
 
 
-def to_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings (and exact floats) to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def to_vector(x, dimension: int) -> Vec:
-    """Coerce a scalar (dimension 1) or a sequence to a rational vector."""
+    """Coerce a scalar (dimension 1) or a sequence of ints, Fractions, 'p/q' strings
+    or floats (at their exact value) to a rational vector."""
     if isinstance(x, (int, float, Fraction, str)):
         if dimension != 1:
             raise ValueError("scalar given for a %d-dimensional vector" % dimension)
-        return (to_fraction(x),)
-    vec = tuple(map(to_fraction, x))
+        return (Fraction(x),)
+    vec = tuple(map(Fraction, x))
     if len(vec) != dimension:
         raise ValueError("expected a vector of length %d, got %r" % (dimension, x))
     return vec

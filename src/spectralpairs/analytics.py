@@ -21,14 +21,16 @@ below rather than trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _exact
-from ._exact import Vec, to_fraction, to_vector
-from .domains import BoxDomain, Spectrum, _reduce, enumerate_spectrum, shift_spectrum
+from ._exact import Vec, to_vector
+from .domains import (BoxDomain, Spectrum, _numerators, _reduce, _scaled, enumerate_spectrum,
+                      shift_spectrum)
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
     FiniteSet,
@@ -136,7 +138,7 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     serves all of them through its principal submatrices.
     """
     radii = list(radii)
-    bounds = [to_fraction(r) for r in radii]
+    bounds = [Fraction(r) for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(bounds, bounds[1:])):
         raise ValueError("radii must be strictly increasing")
     if not radii:
@@ -204,11 +206,13 @@ def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
     shift it reduces to, mod #J.  The layout is checked exactly first, so
     a spectrum built any other way raises instead of mislabelling points.
     """
-    m, n = len(j), len(spec.shifts)
-    bases = [tuple(c - Fraction(o, j.modulus) for c, o in zip(v, j.points[i % m]))
-             for i, v in enumerate(spec.shifts)]
-    reduced, _ = _reduce(spec.basis, [*bases, *spec.shifts, *points])
-    rows = [tuple(row) for row in reduced.tolist()]
+    m, n, d = len(j), len(spec.shifts), spec.dimension
+    tips, scale = _numerators(points, d)
+    den = math.lcm(spec._den, j.modulus, scale)
+    nums = _scaled(spec._nums, spec._den, den)
+    offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
+    vectors = np.concatenate([nums[d:] - offsets, nums[d:], _scaled(tips, scale, den)])
+    rows = [tuple(row) for row in _reduce(nums[:d], vectors)[0][d:].tolist()]
     if n % m or any(rows[i] != rows[i - i % m] for i in range(n)):
         raise UnsupportedPairError(
             "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"

@@ -3,11 +3,11 @@
 Disjointness of translated copies and the root-of-unity condition are
 yes/no facts that must be certified, not approximated.  Corners, lattice
 generators and shifts are ``Fraction``s at the API (constructors, the
-``boxes``/``basis``/``shifts`` tuples, JSON, returned points); every
-decision runs on their integer numerators over one common denominator
-D > 0, where comparisons and divisibility tests are exact.  Boxes are
-half-open, which makes touching translates (such as [0,1) and [1,2))
-disjoint without epsilon fiddling.
+``boxes``/``basis``/``shifts`` tuples, JSON, returned points).  Each domain
+and spectrum carries its integer form from validation on: the numerators
+over their least common denominator D > 0, where every decision is exact,
+and the library's builders hand theirs straight to the validation.  Boxes
+are half-open, so touching translates ([0,1) and [1,2)) are disjoint.
 """
 
 from __future__ import annotations
@@ -19,28 +19,39 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import Vec, adjugate, common_denominator, int_array, to_fraction, to_vector
-from .errors import (
-    DimensionMismatchError,
-    DuplicateSpectrumError,
-    NonInvertibleError,
-    OverlapError,
-)
+from ._exact import Vec, adjugate, common_denominator, int_array, to_vector
+from .errors import DimensionMismatchError, DuplicateSpectrumError, NonInvertibleError, OverlapError
 from .finite_pairs import FiniteSet
 
 Box = tuple[Vec, Vec]  # (lower corner, upper corner)
 
 
-def _numerators(rows) -> tuple[np.ndarray, int]:
-    """Rational rows of one length as an integer array over their common denominator D."""
+def _numerators(rows, width: int) -> tuple[np.ndarray, int]:
+    """Rational rows of one length as an integer array over their least common denominator D."""
     nums, den = common_denominator(list(itertools.chain.from_iterable(rows)))
-    return int_array(nums, max(map(abs, nums))).reshape(len(rows), -1), den
+    return int_array(nums, max(map(abs, nums), default=0)).reshape(-1, width), den
 
 
-def _fractions(rows, den: int) -> list[Vec]:
-    """Integer rows over ``den`` as Fraction tuples, each distinct numerator converted once."""
+def _top(nums: np.ndarray) -> int:
+    return int(np.abs(nums).max(initial=0))
+
+
+def _scaled(nums: np.ndarray, den: int, to: int) -> np.ndarray:
+    """Integer rows over ``den`` as numerators over its multiple ``to``, ready for one sum."""
+    return int_array(nums, _top(nums) * (to // den)) * (to // den)
+
+
+def _lowest(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Integer rows over ``den`` over their least common denominator instead."""
+    g = math.gcd(den, *nums.ravel().tolist())
+    return nums // g, den // g
+
+
+def _fractions(rows, den: int, text: bool = False) -> list[tuple]:
+    """Integer rows over ``den`` as Fraction (or string) tuples, each distinct numerator converted once."""
     values = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows))}
-    return [tuple(values[n] for n in row) for row in rows]
+    values = {n: str(v) for n, v in values.items()} if text else values
+    return [tuple(map(values.__getitem__, row)) for row in rows]
 
 
 def _overlaps(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
@@ -68,99 +79,94 @@ class BoxDomain:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if not self.boxes:
+        corners = [to_vector(c, self.dimension) for lo, hi in self.boxes for c in (lo, hi)]
+        self._validate(*_numerators(corners, self.dimension))
+
+    def _validate(self, corners: np.ndarray, den: int) -> "BoxDomain":
+        """Every check of a domain, on integer corner rows (lower, upper, ...) over their least
+        common denominator: at least one box, none empty, none overlapping.  The domain then
+        carries them and reads its dimension and boxes from them, so builders skip coercion."""
+        if not len(corners):
             raise ValueError("a domain needs at least one box")
-        norm = [(to_vector(lo, self.dimension), to_vector(hi, self.dimension))
-                for lo, hi in self.boxes]
-        corners, _ = _numerators([c for box in norm for c in box])
         lo, hi = corners[0::2], corners[1::2]
+
+        def box(i):
+            return tuple(_fractions(corners[2 * i:2 * i + 2].tolist(), den))
+
         empty = np.flatnonzero(~np.all(lo < hi, axis=1))
         if len(empty):
-            raise ValueError("empty box: lo=%s hi=%s" % norm[empty[0]])
+            raise ValueError("empty box: lo=%s hi=%s" % box(empty[0]))
         overlaps = _overlaps(lo, hi)
         if overlaps:
             i, k = min(overlaps)
             error = OverlapError(
                 "boxes %d and %d intersect with positive measure" % (i, k),
-                offending=(norm[i], norm[k]),
+                offending=(box(i), box(k)),
             )
             error._overlaps = overlaps  # every overlapping pair, for minkowski_translate
             raise error
-        object.__setattr__(self, "boxes", tuple(norm))
+        rows = _fractions(corners.tolist(), den)
+        object.__setattr__(self, "dimension", corners.shape[1])
+        object.__setattr__(self, "boxes", tuple(zip(rows[0::2], rows[1::2])))
+        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "_den", den)
+        return self
 
     @classmethod
     def from_boxes(cls, boxes) -> "BoxDomain":
         """Build from [(lo, hi), ...] with scalar or sequence corners."""
         first_lo = boxes[0][0]
-        if isinstance(first_lo, (int, float, Fraction, str)):
-            dimension = 1
-        else:
-            dimension = len(first_lo)
-        return cls(dimension, tuple((lo, hi) for lo, hi in boxes))
+        scalar = isinstance(first_lo, (int, float, Fraction, str))
+        return cls(1 if scalar else len(first_lo), tuple((lo, hi) for lo, hi in boxes))
 
     @classmethod
     def interval(cls, lo, hi) -> "BoxDomain":
-        return cls(1, (((to_fraction(lo),), (to_fraction(hi),)),))
+        return cls(1, (((Fraction(lo),), (Fraction(hi),)),))
 
     @property
     def measure(self) -> Fraction:
-        total = Fraction(0)
-        for lo, hi in self.boxes:
-            vol = Fraction(1)
-            for l, h in zip(lo, hi):
-                vol *= h - l
-            total += vol
-        return total
+        d, corners = self.dimension, self._corners
+        corners = int_array(corners, len(corners) * (2 * _top(corners) + 1) ** d)
+        return Fraction(int(np.prod(corners[1::2] - corners[0::2], axis=1).sum()), self._den**d)
 
     def translate(self, vector) -> "BoxDomain":
-        v = to_vector(vector, self.dimension)
-        boxes = tuple(
-            (tuple(l + c for l, c in zip(lo, v)), tuple(h + c for h, c in zip(hi, v)))
-            for lo, hi in self.boxes
-        )
-        return BoxDomain(self.dimension, boxes)
+        v, scale = _numerators([to_vector(vector, self.dimension)], self.dimension)
+        den = math.lcm(self._den, scale)
+        corners = _scaled(self._corners, self._den, den) + _scaled(v, scale, den)
+        return object.__new__(BoxDomain)._validate(*_lowest(corners, den))
 
     def intersection_measure(self, other: "BoxDomain") -> Fraction:
         """|self & other|: over one denominator D, the integer sum of the
         products of the side overlaps of every box pair, divided by D^d."""
         n, d = len(self.boxes), self.dimension
-        corners, den = _numerators([c for box in self.boxes + other.boxes for c in box])
-        corners = int_array(corners, len(corners) ** 2 * (2 * int(np.abs(corners).max()) + 1) ** d)
+        den = math.lcm(self._den, other._den)
+        corners = np.concatenate([_scaled(x._corners, x._den, den) for x in (self, other)])
+        corners = int_array(corners, len(corners) ** 2 * (2 * _top(corners) + 1) ** d)
         lo, hi = corners[0::2], corners[1::2]
         sides = np.minimum(hi[:n, None], hi[None, n:]) - np.maximum(lo[:n, None], lo[None, n:])
         return Fraction(int(np.prod(np.maximum(sides, 0), axis=2).sum()), den**d)
 
     def contains(self, point) -> bool:
-        """Membership of a (float or rational) point, half-open convention."""
-        coords = tuple(point) if hasattr(point, "__len__") else (point,)
-        for lo, hi in self.boxes:
-            if all(float(l) <= float(c) < float(h) for l, c, h in zip(lo, coords, hi)):
-                return True
-        return False
+        """Membership of a rational or float point (a float at its exact value), half-open."""
+        p, scale = _numerators([to_vector(point, self.dimension)], self.dimension)
+        den = math.lcm(self._den, scale)
+        corners, p = _scaled(self._corners, self._den, den), _scaled(p, scale, den)
+        return bool(np.any(np.all((corners[0::2] <= p) & (p < corners[1::2]), axis=1)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.dimension,
-            "boxes": [
-                {"lo": [str(c) for c in lo], "hi": [str(c) for c in hi]}
-                for lo, hi in self.boxes
-            ],
-        }
+        rows = _fractions(self._corners.tolist(), self._den, text=True)
+        boxes = [{"lo": list(lo), "hi": list(hi)} for lo, hi in zip(rows[0::2], rows[1::2])]
+        return {"d": self.dimension, "boxes": boxes}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoxDomain":
-        boxes = tuple(
-            (tuple(Fraction(c) for c in b["lo"]), tuple(Fraction(c) for c in b["hi"]))
-            for b in data["boxes"]
-        )
-        return cls(int(data["d"]), boxes)
+        boxes = [(tuple(map(Fraction, b["lo"])), tuple(map(Fraction, b["hi"]))) for b in data["boxes"]]
+        return cls(int(data["d"]), tuple(boxes))
 
 
 def unit_box(dimension: int) -> BoxDomain:
     """The half-open unit cube [0,1)^d."""
-    zero = tuple(Fraction(0) for _ in range(dimension))
-    one = tuple(Fraction(1) for _ in range(dimension))
-    return BoxDomain(dimension, ((zero, one),))
+    return BoxDomain(dimension, (((Fraction(0),) * dimension, (Fraction(1),) * dimension),))
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,8 @@ class Spectrum:
 
     The point set is {B z + v : z integer vector, v shift}, B the matrix
     whose columns are the generators.  Shifts are stored reduced into the
-    fundamental parallelepiped B [0,1)^d and must be distinct there.
+    fundamental parallelepiped B [0,1)^d and must be distinct there; no
+    shift means the zero shift.
     """
 
     dimension: int
@@ -179,30 +186,36 @@ class Spectrum:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        basis = tuple(to_vector(g, self.dimension) for g in self.basis)
-        if len(basis) != self.dimension:
-            raise DimensionMismatchError(
-                "need %d lattice generators, got %d" % (self.dimension, len(basis))
-            )
-        shifts = tuple(to_vector(s, self.dimension) for s in self.shifts) or (
-            tuple(Fraction(0) for _ in range(self.dimension)),
-        )
-        reduced, den = _reduce(basis, shifts)
-        rows, seen = [tuple(row) for row in reduced.tolist()], {}
-        for orig, row in zip(shifts, rows):
-            if row in seen:
-                raise DuplicateSpectrumError(
-                    "shifts %s and %s coincide modulo the lattice" % (seen[row], orig)
-                )
-            seen[row] = orig
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "shifts", tuple(_fractions(rows, den)))
+        d = self.dimension
+        basis = [to_vector(g, d) for g in self.basis]
+        if len(basis) != d:
+            raise DimensionMismatchError("need %d lattice generators, got %d" % (d, len(basis)))
+        self._validate(*_numerators(basis + [to_vector(s, d) for s in self.shifts], d))
+
+    def _validate(self, nums: np.ndarray, den: int) -> "Spectrum":
+        """Every check of a spectrum, on integer generator rows, then shift rows, over ``den``:
+        independent generators, and shifts distinct modulo the lattice.  The spectrum then
+        carries the generators and reduced shifts over their least common denominator."""
+        d = nums.shape[1]
+        nums = np.concatenate([nums, np.zeros_like(nums[:1])]) if len(nums) == d else nums
+        rows, det = _reduce(nums[:d], nums[d:])
+        seen = {}
+        for i, row in enumerate(map(tuple, rows[d:].tolist())):
+            if seen.setdefault(row, i) != i:
+                pair = tuple(_fractions(nums[[d + seen[row], d + i]].tolist(), den))
+                raise DuplicateSpectrumError("shifts %s and %s coincide modulo the lattice" % pair)
+        nums, den = _lowest(rows, det * den)
+        rows = _fractions(nums.tolist(), den)
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "basis", tuple(rows[:d]))
+        object.__setattr__(self, "shifts", tuple(rows[d:]))
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+        return self
 
     def to_json_dict(self) -> dict:
-        return {
-            "basis": [[str(c) for c in g] for g in self.basis],
-            "shifts": [[str(c) for c in s] for s in self.shifts],
-        }
+        rows = [list(row) for row in _fractions(self._nums.tolist(), self._den, text=True)]
+        return {"basis": rows[:self.dimension], "shifts": rows[self.dimension:]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Spectrum":
@@ -211,29 +224,27 @@ class Spectrum:
         return cls(len(basis), basis, shifts)
 
 
-def _lattice(basis, vectors):
-    """Over one denominator D: the generator rows Gn and the vector rows vn
-    (G = Gn/D, v = vn/D), D, and adj(Gn) and det(Gn) signed so that det > 0."""
-    d = len(basis)
-    nums, den = _numerators([*basis, *vectors])
-    adj, det = adjugate(nums[:d].tolist())
+def _lattice(g: np.ndarray) -> tuple[np.ndarray, int]:
+    """adj(g) and det(g) of the integer generator rows g, signed so that det > 0."""
+    adj, det = adjugate(g)
     if det == 0:
         raise NonInvertibleError("lattice generators are linearly dependent")
-    return nums[:d], nums[d:], den, adj * (det // abs(det)), abs(det)
+    return adj * (det // abs(det)), abs(det)
 
 
-def _reduce(basis, vectors) -> tuple[np.ndarray, int]:
-    """The rational ``vectors`` reduced modulo the lattice into B [0,1)^d, as
-    integer rows over one denominator: rows are equal exactly when the points are.
+def _reduce(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Generator rows g and vector rows v, integers over one D, reduced modulo the
+    lattice into G [0,1)^d: the rows g det, then the representatives, over det D.
+    Representatives are equal exactly when the points are.
 
-    The coordinates t with t G = v are vn adj/det, and the representative
-    (t mod 1) G is ((vn adj mod det) Gn)/(det D).
+    The coordinates t with t g = v are v adj/det, and the representative
+    (t mod 1) G is ((v adj mod det) g)/(det D).
     """
-    g, v, den, adj, det = _lattice(basis, vectors)
-    big = max(int(np.abs(g).max()), int(np.abs(v).max()))
-    bound = len(basis) * max(big * int(np.abs(adj).max()), det * big)
+    adj, det = _lattice(g)
+    big = max(_top(g), _top(v))
+    bound = len(g) * max(big * _top(adj), det * big)
     g, v, adj = (int_array(x, bound) for x in (g, v, adj))
-    return (v @ adj % det) @ g, det * den
+    return np.concatenate([g * det, (v @ adj % det) @ g]), det
 
 
 def integer_lattice(dimension: int) -> Spectrum:
@@ -243,12 +254,14 @@ def integer_lattice(dimension: int) -> Spectrum:
 
 def scaled_lattice(dimension: int, scale) -> Spectrum:
     """(scale Z)^d, e.g. scale=1/2 for the half-integer lattice."""
-    s = to_fraction(scale)
-    basis = tuple(
-        tuple(s if i == k else Fraction(0) for k in range(dimension))
-        for i in range(dimension)
-    )
-    return Spectrum(dimension, basis)
+    s, axes = Fraction(scale), range(dimension)
+    return Spectrum(dimension, tuple(tuple(s if i == k else Fraction(0) for k in axes) for i in axes))
+
+
+def _same_dimension(what: str, x, s: FiniteSet) -> None:
+    if x.dimension != s.dimension:
+        raise DimensionMismatchError(
+            "%s dimension %d != set dimension %d" % (what, x.dimension, s.dimension))
 
 
 def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
@@ -258,18 +271,13 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
     overlap raises with the offending pair of translation vectors named:
     the first overlapping pair in the order of A.
     """
-    if base.dimension != a.dimension:
-        raise DimensionMismatchError(
-            "domain dimension %d != set dimension %d" % (base.dimension, a.dimension)
-        )
-    d = base.dimension
-    corners, den = _numerators([c for box in base.boxes for c in box])
-    bound = int(np.abs(corners).max()) + a.modulus * den
+    _same_dimension("domain", base, a)
+    d, den = base.dimension, base._den  # integer translates keep D least
+    bound = _top(base._corners) + a.modulus * den
     offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
-    corners = _fractions((offsets + int_array(corners, bound)).reshape(-1, d).tolist(), den)
-    boxes = tuple(zip(corners[0::2], corners[1::2]))  # translate-major, as A is ordered
+    corners = (offsets + int_array(base._corners, bound)).reshape(-1, d)  # translate-major
     try:
-        return BoxDomain(base.dimension, boxes)
+        return object.__new__(BoxDomain)._validate(corners, den)
     except OverlapError as error:
         m = len(base.boxes)  # box i lies in the translate by a.points[i // m]
         i, k = min((i // m, k // m) for i, k in error._overlaps)
@@ -281,42 +289,40 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
 
 def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
     """The spectrum base + J/n; shifts must stay distinct modulo the lattice."""
-    if base.dimension != j.dimension:
-        raise DimensionMismatchError(
-            "spectrum dimension %d != set dimension %d" % (base.dimension, j.dimension)
-        )
+    _same_dimension("spectrum", base, j)
     if n != j.modulus:
         raise ValueError("n = %d does not match the set modulus %d" % (n, j.modulus))
     d = base.dimension
-    nums, den = _numerators(base.shifts)
-    scale = math.lcm(den, n)  # v + p/n over scale, shift-major
-    bound = (int(np.abs(nums).max()) + 1) * scale
-    v = int_array(nums, bound).reshape(-1, 1, d) * (scale // den)
-    p = int_array(j.points, bound).reshape(-1, d) * (scale // n)
-    return Spectrum(d, base.basis, tuple(_fractions((v + p).reshape(-1, d).tolist(), scale)))
+    scale = math.lcm(base._den, n)  # generators, then v + p/n shift-major, over scale
+    nums = _scaled(base._nums, base._den, scale)
+    p = _scaled(np.array(j.points, dtype=object).reshape(-1, d), n, scale)
+    shifts = (nums[d:, None, :] + p[None, :, :]).reshape(-1, d)
+    return object.__new__(Spectrum)._validate(np.concatenate([nums[:d], shifts]), scale)
 
 
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
     """All spectrum points with sup-norm at most radius, lexicographically sorted.
 
-    A point z G + v within radius r has |z_i| <= D sum_k |adj[k, i]| (r + max|v|)/det
-    (notation of ``_lattice``), so one integer grid Z covers every shift;
-    the points are the rows of vn + Z Gn with |p| <= r D, and as integer
-    rows over D > 0 they sort lexicographically.
+    Over D, the points of the shift v are (t + z) g with t = v adj(g)/det(g),
+    and within radius r, |t_i + z_i| <= b_i = r D sum_k |adj[k, i]|/det.  So
+    each shift's grid starts at z_i = ceil(-t_i - b_i) and spans
+    floor(2 b_i) + 1 values, whatever the shift.  The points are the rows
+    with |p| <= r D; as integer rows over D > 0 they sort lexicographically.
     """
-    r = to_fraction(radius)
+    r = Fraction(radius)
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    d = s.dimension
-    g, v, den, adj, det = _lattice(s.basis, s.shifts)
-    reach = r.numerator * den + int(np.abs(v).max()) * r.denominator
-    bounds = [sum(map(abs, column)) * reach // (det * r.denominator) for column in adj.T.tolist()]
-    grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in bounds), indexing="ij"), -1)
-    big = max(int(np.abs(g).max()), int(np.abs(v).max())) * (1 + d * max(bounds))
-    bound = max(big * r.denominator, r.numerator * den)
-    g, v, z = (int_array(x, bound) for x in (g, v, grid.reshape(-1, d)))
-    points = (v[:, None, :] + (z @ g)[None, :, :]).reshape(-1, d)
-    inside = np.all(np.abs(points) * r.denominator <= r.numerator * den, axis=1)
+    d, den, rn, rd = s.dimension, s._den, r.numerator, r.denominator
+    g, v = s._nums[:d], s._nums[d:]
+    adj, det = _lattice(g)
+    reach = np.array([rn * den * sum(map(abs, col)) for col in adj.T.tolist()], dtype=object)
+    start = v + -((v.astype(object) @ adj * rd + reach) // (det * rd)) @ g
+    widths = [2 * b // (det * rd) + 1 for b in reach.tolist()]
+    grid = np.stack(np.meshgrid(*(np.arange(w) for w in widths), indexing="ij"), -1)
+    bound = max((_top(start) + d * max(widths) * _top(g)) * rd, rn * den)
+    steps = int_array(grid.reshape(-1, d), bound) @ int_array(g, bound)
+    points = (int_array(start, bound)[:, None, :] + steps[None, :, :]).reshape(-1, d)
+    inside = np.all(np.abs(points) * rd <= rn * den, axis=1)
     return _fractions(sorted(set(map(tuple, points[inside].tolist()))), den)
 
 
@@ -327,11 +333,7 @@ def root_of_unity_condition(s: Spectrum, a: FiniteSet) -> bool:
     every shift v and every a in A.  Over one denominator D, with W the
     numerators of the generators and shifts, that is D | W a.
     """
-    if s.dimension != a.dimension:
-        raise DimensionMismatchError(
-            "spectrum dimension %d != set dimension %d" % (s.dimension, a.dimension)
-        )
-    nums, den = _numerators([*s.basis, *s.shifts])
-    bound = max(s.dimension * int(np.abs(nums).max()) * a.modulus, den)
-    w, points = int_array(nums, bound), int_array(a.points, bound).reshape(-1, a.dimension)
-    return bool(np.all(w @ points.T % den == 0))
+    _same_dimension("spectrum", s, a)
+    bound = max(s.dimension * _top(s._nums) * a.modulus, s._den)
+    w, points = int_array(s._nums, bound), int_array(a.points, bound).reshape(-1, a.dimension)
+    return bool(np.all(w @ points.T % s._den == 0))

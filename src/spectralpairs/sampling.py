@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import cis, common_denominator, int_array, mul, over_2pi_i, to_fraction
+from ._exact import cis, common_denominator, int_array, mul, over_2pi_i
 from .domains import BoxDomain, minkowski_translate, unit_box
 from .errors import DimensionMismatchError
 from .finite_pairs import FiniteSet, Tolerances, symbol_of_set
@@ -66,7 +66,7 @@ class BandlimitedSignal:
 
     def sample(self, lam) -> complex:
         """Time-domain value f(lam) = integral of f_hat(xi) e^{2 pi i xi lam} d xi."""
-        lam = to_fraction(lam)
+        lam = Fraction(lam)
         return _samples(self, np.array([lam.numerator], dtype=object), lam.denominator)[0]
 
 
@@ -105,7 +105,7 @@ class SamplePattern:
     truncation: int
 
     def __post_init__(self):
-        shifts = tuple(to_fraction(s) for s in self.shifts)
+        shifts = tuple(map(Fraction, self.shifts))
         if any(not (0 <= s < 1) for s in shifts):
             raise ValueError("pattern shifts must lie in [0, 1)")
         if len(set(shifts)) != len(shifts):

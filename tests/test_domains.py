@@ -1,6 +1,10 @@
+import ast
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import rational_geometry as ref
 
 from spectralpairs import (
     BoxDomain,
@@ -46,6 +50,25 @@ class TestBoxDomain:
         assert dom.contains(0.0)
         assert dom.contains(0.999)
         assert not dom.contains(1.0)
+
+    def test_contains_decides_exactly(self):
+        # 1/3 - 1/10^30 rounds to the float 1/3, which misplaces it on either side of 1/3
+        point = Fraction(1, 3) - Fraction(1, 10**30)
+        assert not BoxDomain.interval(Fraction(1, 3), 1).contains(point)
+        assert BoxDomain.interval(0, Fraction(1, 3)).contains(point)
+        # a float is read at its exact value, just above 1/10
+        assert BoxDomain.interval(Fraction(1, 10), 1).contains(0.1)
+        assert not BoxDomain.interval(0, Fraction(1, 10)).contains(0.1)
+        square = BoxDomain.from_boxes([((0, 0), ("1/2", 1)), (("1/2", 0), (1, "1/3"))])
+        assert square.contains(("1/2", "1/3")) is False
+        assert square.contains((Fraction(1, 2), Fraction(1, 4))) is True
+
+    def test_contains_coerces_like_the_constructor(self):
+        assert BoxDomain.interval(0, 1).contains("1/2")  # not the characters of the string
+        assert not BoxDomain.interval(0, 1).contains("3/2")
+        for point in ((0.5,), (0.5, 0.5, 7), 0.5):
+            with pytest.raises(ValueError, match="vector"):
+                unit_box(2).contains(point)
 
     def test_json_roundtrip_bytestable(self):
         import json
@@ -188,7 +211,22 @@ class TestEnumerateSpectrum:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_spectrum(integer_lattice(1), -1)
+            enumerate_spectrum(integer_lattice(2), -1)
+
+    def test_grid_follows_each_shift(self):
+        # Z x nZ with the shifts (0, k), k < n, is Z^2; the radius-1 window holds 9 points.
+        # A grid bounded by the largest shift would hold 3 (2n + 1) rows for every shift.
+        for n in (40, 1000):
+            s = Spectrum(2, ((1, 0), (0, n)), [(0, k) for k in range(n)])
+            tracemalloc.start()
+            try:
+                points = enumerate_spectrum(s, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert points == ref.enumerate_spectrum(s if n == 40 else integer_lattice(2), 1)
+            assert len(points) == 9
+            assert peak < 2_000_000
 
 
 class TestRootOfUnityCondition:
@@ -209,3 +247,90 @@ class TestRootOfUnityCondition:
         s = Spectrum(1, (("1",),), (("0",), ("1/3",)))
         assert not root_of_unity_condition(s, FiniteSet.from_ints(6, [0, 2]))
         assert root_of_unity_condition(s, FiniteSet.from_ints(6, [0, 3]))
+
+
+def round_trips(package: Path) -> list[str]:
+    """Calls outside a ``__post_init__`` that coerce an object's own ``boxes``, ``basis``
+    or ``shifts`` through ``to_vector`` or ``_numerators``.
+
+    Helpers count as coercing when they pass a parameter on to a coercing
+    call, and a class does when its ``__post_init__`` coerces.  A value
+    reaches a call through the names bound to it (assignments, loop and
+    comprehension targets), followed back inside the enclosing function.
+    """
+    functions = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                functions += [(path.name, node.name, f) for f in node.body
+                              if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                functions.append((path.name, None, node))
+
+    def reach(fn, call):
+        """Every node whose value can flow into the arguments of ``call`` inside ``fn``."""
+        bound = {}
+        for node in ast.walk(fn):
+            pairs = []
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                pairs = [(t, node.value) for t in targets]
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                pairs = [(node.target, node.iter)]
+            while pairs:
+                target, value = pairs.pop()
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(
+                    target.elts) == len(value.elts):  # a, b = x, y binds a to x alone
+                    pairs += zip(target.elts, value.elts)
+                    continue
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound.setdefault(name.id, []).append(value)
+        seen, todo = [], list(call.args) + [k.value for k in call.keywords]
+        while todo:
+            node = todo.pop()
+            if any(node is s for s in seen):
+                continue
+            seen.append(node)
+            todo += list(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Name):
+                todo += bound.get(node.id, [])
+        return seen
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    coercers, grown = {"to_vector", "_numerators"}, True
+    while grown:
+        grown = False
+        for _, cls, fn in functions:
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            name = cls if fn.name == "__post_init__" else fn.name
+            if name in coercers:
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and callee(call) in coercers and any(
+                    isinstance(n, ast.Name) and n.id in params for n in reach(fn, call)
+                ):
+                    coercers.add(name)
+                    grown = True
+                    break
+    offenders = []
+    for module, _, fn in functions:
+        if fn.name == "__post_init__":
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and callee(call) in coercers and any(
+                isinstance(n, ast.Attribute) and n.attr in ("boxes", "basis", "shifts")
+                for n in reach(fn, call)
+            ):
+                offenders.append("%s:%d %s" % (module, call.lineno, fn.name))
+    return offenders
+
+
+def test_own_fields_are_coerced_only_at_construction():
+    # builders and readers use the carried integer form; cartesian_product still
+    # builds its product through the public constructors
+    package = Path(__file__).resolve().parents[1] / "src" / "spectralpairs"
+    offenders = [o for o in round_trips(package) if not o.endswith(" cartesian_product")]
+    assert offenders == []

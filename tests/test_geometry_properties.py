@@ -4,16 +4,20 @@
 ``BoxDomain.intersection_measure`` and ``analytics._shift_tags`` decide on
 integer numerators over one denominator.  The references in
 ``rational_geometry`` are the Fraction functions they replaced.  Results,
-their order and the text of every error must be the same.  Each check
-also has one pinned case with integers past 2**62, which takes the
-Python-int path of ``_exact.int_array``.
+their order and the text of every error must be the same.  The builders
+``minkowski_translate``, ``BoxDomain.translate`` and ``shift_spectrum``
+skip the constructors' coercion; what they build must equal a rebuild
+through the public constructors from Fractions.  Each check also has one
+pinned case with integers past 2**62, which takes the Python-int path of
+``_exact.int_array``.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 import rational_geometry as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectralpairs import (
@@ -26,6 +30,7 @@ from spectralpairs import (
     Spectrum,
     UnsupportedPairError,
     enumerate_spectrum,
+    minkowski_translate,
     root_of_unity_condition,
     shift_spectrum,
 )
@@ -53,9 +58,9 @@ def sheared_bases(draw, d):
 
 
 @st.composite
-def spectra(draw):
+def spectra(draw, d=None):
     """A sheared lattice with 1-4 shifts, distinct modulo the lattice."""
-    d = draw(st.integers(1, 2))
+    d = d or draw(st.integers(1, 2))
     basis, shifts = draw(sheared_bases(d)), []
     for _ in range(draw(st.integers(1, 4))):
         v = draw(st.tuples(*[RATIONALS] * d))
@@ -139,18 +144,19 @@ def test_shift_tags_agree_with_fraction_path(case, radius, laid_out):
 
 
 @st.composite
-def domain_pairs(draw):
-    d = draw(st.integers(1, 3))
-    domains = []
-    for _ in range(2):
-        kept = []
-        for _ in range(draw(st.integers(1, 5))):
-            lo = draw(st.tuples(*[RATIONALS] * d))
-            hi = tuple(c + draw(NONZERO.map(abs)) for c in lo)
-            if all(not ref.box_overlap((lo, hi), box) for box in kept):
-                kept.append((lo, hi))
-        domains.append(BoxDomain(d, tuple(kept)))
-    return domains
+def domains(draw, d):
+    """1-5 disjoint boxes with rational corners."""
+    kept = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.tuples(*[RATIONALS] * d))
+        hi = tuple(c + draw(NONZERO.map(abs)) for c in lo)
+        if all(not ref.box_overlap((lo, hi), box) for box in kept):
+            kept.append((lo, hi))
+    return BoxDomain(d, tuple(kept))
+
+
+def domain_pairs():
+    return st.integers(1, 3).flatmap(lambda d: st.lists(domains(d), min_size=2, max_size=2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,7 +171,7 @@ def test_numerators_past_2_62_take_python_ints():
     g = Fraction(BIG, 2**63)
     basis = ((g, Fraction(1, 3)), (Fraction(1, 5), Fraction(BIG, 2**64)))
     shifts = ((Fraction(1, 3), Fraction(-2, 7)), (Fraction(BIG, 11), Fraction(1, 2)))
-    assert _numerators([*basis, *shifts])[0].dtype == object
+    assert _numerators([*basis, *shifts], 2)[0].dtype == object
     s = Spectrum(2, basis, shifts)
     assert s.shifts == ref.reduced_shifts(basis, shifts)
     for radius in (0, 1, Fraction(7, 2)):
@@ -208,3 +214,88 @@ def test_overlap_past_2_62_names_the_first_pair():
     assert str(err.value) == "boxes 0 and 3 intersect with positive measure"
     assert err.value.offending == (((0,), (1,)), ((1 - eps,), (1,)))
     assert BoxDomain(1, boxes[:2] + (((2,), (2 + eps,)),)).measure == 2 + eps
+
+
+def built(make):
+    """What make() builds, as the object and its JSON, or the type, text and
+    offending pair of its error; the carried integer form must be the one the
+    constructor derives from the object's own Fractions."""
+    try:
+        x = make()
+    except (OverlapError, DuplicateSpectrumError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "offending", None)
+    if isinstance(x, BoxDomain):
+        carried, rows = (x._corners, x._den), [c for box in x.boxes for c in box]
+    else:
+        carried, rows = (x._nums, x._den), [*x.basis, *x.shifts]
+    nums, den = _numerators(rows, x.dimension)
+    assert (carried[0].tolist(), carried[1]) == (nums.tolist(), den)
+    assert all(type(c) is Fraction for row in rows for c in row)
+    return x, x.to_json_dict()
+
+
+def fraction_minkowski(dom, a):
+    """``minkowski_translate`` through the constructor, naming the first overlapping translates."""
+    boxes = tuple((ref.vec_add(lo, p), ref.vec_add(hi, p)) for p in a.points for lo, hi in dom.boxes)
+    m = len(dom.boxes)
+    meets = [(i // m, k // m) for i, k in itertools.combinations(range(len(boxes)), 2)
+             if ref.box_overlap(boxes[i], boxes[k])]
+    if meets:
+        i, k = min(meets)
+        raise OverlapError("translates by %s and %s overlap with positive measure"
+                           % (a.points[i], a.points[k]), offending=(a.points[i], a.points[k]))
+    return BoxDomain(dom.dimension, boxes)
+
+
+def fraction_shift(spec, j):
+    """``shift_spectrum`` through the constructor."""
+    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
+    return Spectrum(spec.dimension, spec.basis,
+                    tuple(ref.vec_add(v, o) for v in spec.shifts for o in offsets))
+
+
+def check_builders(dom, spec, sets, v):
+    """translate, then A1, A2 and J1, J2 applied in turn, against the constructor rebuilds."""
+    assert built(lambda: dom.translate(v)) == built(lambda: BoxDomain(
+        dom.dimension, tuple((ref.vec_add(lo, v), ref.vec_add(hi, v)) for lo, hi in dom.boxes)))
+    for a in sets[:2]:
+        got = built(lambda: minkowski_translate(dom, a))
+        assert got == built(lambda: fraction_minkowski(dom, a))
+        if not isinstance(got[0], BoxDomain):
+            break
+        dom = got[0]
+    for j in sets[2:]:
+        got = built(lambda: shift_spectrum(spec, j, j.modulus))
+        assert got == built(lambda: fraction_shift(spec, j))
+        if not isinstance(got[0], Spectrum):
+            break
+        spec = got[0]
+
+
+@st.composite
+def finite_sets(draw, d):
+    n = draw(st.integers(1, 6))
+    points = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * d), max_size=4, unique=True))
+    return FiniteSet(n, d, tuple(points))
+
+
+def _pinned_past_2_62():
+    eps = Fraction(1, BIG)
+    dom = BoxDomain(2, (((eps, 0), (1, Fraction(1, 2))), ((0, Fraction(1, 2)), (1 - eps, 1))))
+    basis = ((Fraction(BIG, 2**63), Fraction(1, 3)), (Fraction(1, 5), Fraction(BIG, 2**64)))
+    spec = Spectrum(2, basis, ((Fraction(1, 3), Fraction(-2, 7)),))
+    sets = [FiniteSet(4, 2, ((0, 0), (1, 1), (2, 0))), FiniteSet(8, 2, ((0, 0), (1, 1))),
+            FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1))), FiniteSet(3, 2, ((0, 0), (1, 0)))]
+    return dom, spec, sets, (Fraction(1, BIG + 2), Fraction(-1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    domains(d), spectra(d), st.lists(finite_sets(d), min_size=4, max_size=4),
+    st.tuples(*[RATIONALS] * d))))
+@example(_pinned_past_2_62())
+@example((BoxDomain(1, ((("1/2",), ("3/2",)),)), Spectrum(1, (("1/2",),), (("1/4",),)),
+          [FiniteSet.from_ints(4, [0, 1]), FiniteSet.from_ints(4, [0, 2]),
+           FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(2, [0, 1])], (Fraction(1, 2),)))
+def test_builders_match_the_fraction_constructors(case):
+    check_builders(*case)
