@@ -212,7 +212,7 @@ def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
     nums = _scaled(spec._nums, spec._den, den)
     offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
     vectors = np.concatenate([nums[d:] - offsets, nums[d:], _scaled(tips, scale, den)])
-    rows = [tuple(row) for row in _reduce(nums[:d], vectors)[0][d:].tolist()]
+    rows = [tuple(row) for row in _reduce(nums[:d], vectors)[0].tolist()]
     if n % m or any(rows[i] != rows[i - i % m] for i in range(n)):
         raise UnsupportedPairError(
             "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"

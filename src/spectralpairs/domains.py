@@ -20,7 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import Vec, adjugate, common_denominator, int_array, to_vector
-from .errors import DimensionMismatchError, DuplicateSpectrumError, NonInvertibleError, OverlapError
+from .errors import (
+    DimensionMismatchError,
+    DuplicateSpectrumError,
+    NonInvertibleError,
+    OverlapError,
+)
 from .finite_pairs import FiniteSet
 
 Box = tuple[Vec, Vec]  # (lower corner, upper corner)
@@ -38,7 +43,7 @@ def _top(nums: np.ndarray) -> int:
 
 def _scaled(nums: np.ndarray, den: int, to: int) -> np.ndarray:
     """Integer rows over ``den`` as numerators over its multiple ``to``, ready for one sum."""
-    return int_array(nums, _top(nums) * (to // den)) * (to // den)
+    return int_array(nums, max(_top(nums), 1) * (to // den)) * (to // den)
 
 
 def _lowest(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -48,7 +53,8 @@ def _lowest(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 
 
 def _fractions(rows, den: int, text: bool = False) -> list[tuple]:
-    """Integer rows over ``den`` as Fraction (or string) tuples, each distinct numerator converted once."""
+    """Integer rows over ``den`` as Fraction (or string) tuples, each distinct
+    numerator converted once."""
     values = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows))}
     values = {n: str(v) for n, v in values.items()} if text else values
     return [tuple(map(values.__getitem__, row)) for row in rows]
@@ -116,8 +122,11 @@ class BoxDomain:
     def from_boxes(cls, boxes) -> "BoxDomain":
         """Build from [(lo, hi), ...] with scalar or sequence corners."""
         first_lo = boxes[0][0]
-        scalar = isinstance(first_lo, (int, float, Fraction, str))
-        return cls(1 if scalar else len(first_lo), tuple((lo, hi) for lo, hi in boxes))
+        if isinstance(first_lo, (int, float, Fraction, str)):
+            dimension = 1
+        else:
+            dimension = len(first_lo)
+        return cls(dimension, tuple((lo, hi) for lo, hi in boxes))
 
     @classmethod
     def interval(cls, lo, hi) -> "BoxDomain":
@@ -160,13 +169,18 @@ class BoxDomain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BoxDomain":
-        boxes = [(tuple(map(Fraction, b["lo"])), tuple(map(Fraction, b["hi"]))) for b in data["boxes"]]
-        return cls(int(data["d"]), tuple(boxes))
+        boxes = tuple(
+            (tuple(Fraction(c) for c in b["lo"]), tuple(Fraction(c) for c in b["hi"]))
+            for b in data["boxes"]
+        )
+        return cls(int(data["d"]), boxes)
 
 
 def unit_box(dimension: int) -> BoxDomain:
     """The half-open unit cube [0,1)^d."""
-    return BoxDomain(dimension, (((Fraction(0),) * dimension, (Fraction(1),) * dimension),))
+    zero = tuple(Fraction(0) for _ in range(dimension))
+    one = tuple(Fraction(1) for _ in range(dimension))
+    return BoxDomain(dimension, ((zero, one),))
 
 
 @dataclass(frozen=True)
@@ -198,13 +212,13 @@ class Spectrum:
         carries the generators and reduced shifts over their least common denominator."""
         d = nums.shape[1]
         nums = np.concatenate([nums, np.zeros_like(nums[:1])]) if len(nums) == d else nums
-        rows, det = _reduce(nums[:d], nums[d:])
+        reps, det = _reduce(nums[:d], nums[d:])
         seen = {}
-        for i, row in enumerate(map(tuple, rows[d:].tolist())):
+        for i, row in enumerate(map(tuple, reps.tolist())):
             if seen.setdefault(row, i) != i:
                 pair = tuple(_fractions(nums[[d + seen[row], d + i]].tolist(), den))
                 raise DuplicateSpectrumError("shifts %s and %s coincide modulo the lattice" % pair)
-        nums, den = _lowest(rows, det * den)
+        nums, den = _lowest(np.concatenate([_scaled(nums[:d], den, det * den), reps]), det * den)
         rows = _fractions(nums.tolist(), den)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "basis", tuple(rows[:d]))
@@ -233,8 +247,8 @@ def _lattice(g: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _reduce(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Generator rows g and vector rows v, integers over one D, reduced modulo the
-    lattice into G [0,1)^d: the rows g det, then the representatives, over det D.
+    """Vector rows v reduced modulo the lattice of the generator rows g (integers
+    over one D) into G [0,1)^d: the representatives over det D, and det.
     Representatives are equal exactly when the points are.
 
     The coordinates t with t g = v are v adj/det, and the representative
@@ -244,7 +258,7 @@ def _reduce(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     big = max(_top(g), _top(v))
     bound = len(g) * max(big * _top(adj), det * big)
     g, v, adj = (int_array(x, bound) for x in (g, v, adj))
-    return np.concatenate([g * det, (v @ adj % det) @ g]), det
+    return (v @ adj % det) @ g, det
 
 
 def integer_lattice(dimension: int) -> Spectrum:
@@ -254,8 +268,12 @@ def integer_lattice(dimension: int) -> Spectrum:
 
 def scaled_lattice(dimension: int, scale) -> Spectrum:
     """(scale Z)^d, e.g. scale=1/2 for the half-integer lattice."""
-    s, axes = Fraction(scale), range(dimension)
-    return Spectrum(dimension, tuple(tuple(s if i == k else Fraction(0) for k in axes) for i in axes))
+    s = Fraction(scale)
+    basis = tuple(
+        tuple(s if i == k else Fraction(0) for k in range(dimension))
+        for i in range(dimension)
+    )
+    return Spectrum(dimension, basis)
 
 
 def _same_dimension(what: str, x, s: FiniteSet) -> None:

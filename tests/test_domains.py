@@ -211,7 +211,7 @@ class TestEnumerateSpectrum:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_spectrum(integer_lattice(2), -1)
+            enumerate_spectrum(integer_lattice(1), -1)
 
     def test_grid_follows_each_shift(self):
         # Z x nZ with the shifts (0, k), k < n, is Z^2; the radius-1 window holds 9 points.

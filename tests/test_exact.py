@@ -138,9 +138,9 @@ def test_reduce_mod_lattice():
     half = ((Fraction(1, 2),),)
     assert reduce_mod_lattice(half, (Fraction(2, 3),)) == (Fraction(1, 6),)
     # the integer reduction: rows over one denominator
-    # the integer reduction over D: the generator rows times det, then the representatives,
-    # over det D (here 1, 5/4 and -1/4 over D = 4, then 1/2 and 2/3 over D = 6)
+    # the integer reduction: representatives over det D (here 1 with 5/4 and -1/4
+    # over D = 4, then 1/2 with 2/3 over D = 6)
     rows, det = _reduce(np.array([[4]]), np.array([[5], [-1]]))
-    assert [Fraction(x, 4 * det) for x in rows.ravel().tolist()] == [1, Fraction(1, 4), Fraction(3, 4)]
+    assert [Fraction(x, 4 * det) for x in rows.ravel().tolist()] == [Fraction(1, 4), Fraction(3, 4)]
     rows, det = _reduce(np.array([[3]]), np.array([[4]]))
-    assert Fraction(int(rows[1, 0]), 6 * det) == Fraction(1, 6)
+    assert Fraction(int(rows[0, 0]), 6 * det) == Fraction(1, 6)

@@ -30,9 +30,11 @@ from spectralpairs import (
     Spectrum,
     UnsupportedPairError,
     enumerate_spectrum,
+    integer_lattice,
     minkowski_translate,
     root_of_unity_condition,
     shift_spectrum,
+    verify_biorthogonality,
 )
 from spectralpairs.analytics import _shift_tags
 from spectralpairs.domains import _numerators
@@ -198,10 +200,17 @@ def test_numerators_past_2_62_take_python_ints():
     spec = shift_spectrum(Spectrum(2, basis, shifts[:1]), j, 4)
     points = enumerate_spectrum(spec, 3)
     assert _shift_tags(spec, j, points) == ref.shift_tags(spec, j, points)
+    # zero rows, scaled to a denominator past 2**63, take Python ints too
+    spec = shift_spectrum(Spectrum(2, basis), j, 4)
+    for points in ([(Fraction(0),) * 2], []):
+        assert _shift_tags(spec, j, points) == ref.shift_tags(spec, j, points)
     # boxes and sample points over a denominator past 2**62
     wide = BoxDomain(1, (((Fraction(1, BIG),), (Fraction(2, 1),)), ((Fraction(3),), (g + 3,))))
     other = wide.translate((Fraction(1, 2),))
     assert wide.intersection_measure(other) == ref.intersection_measure(wide, other)
+    base = BoxDomain.interval(Fraction(1, BIG), 1 + Fraction(1, BIG))  # A holds 0
+    pair = FiniteSet.from_ints(2, [0, 1])
+    assert verify_biorthogonality(base, integer_lattice(1), pair, pair, 3) < 1e-10
     pattern = SamplePattern((Fraction(2, 3), Fraction(0), Fraction(1, BIG)), 2)
     assert pattern.points() == sorted(Fraction(n) + s for s in pattern.shifts for n in range(-2, 3))
 
@@ -255,9 +264,17 @@ def fraction_shift(spec, j):
 
 
 def check_builders(dom, spec, sets, v):
-    """translate, then A1, A2 and J1, J2 applied in turn, against the constructor rebuilds."""
+    """translate, then A1, A2 and J1, J2 applied in turn, against the constructor rebuilds;
+    the zero vector and the set {0} too, which leave the denominator as it is."""
     assert built(lambda: dom.translate(v)) == built(lambda: BoxDomain(
         dom.dimension, tuple((ref.vec_add(lo, v), ref.vec_add(hi, v)) for lo, hi in dom.boxes)))
+    zero = (Fraction(0),) * dom.dimension
+    origin = FiniteSet(1, dom.dimension, ((0,) * dom.dimension,))
+    assert built(lambda: dom.translate(zero)) == built(lambda: BoxDomain(dom.dimension, dom.boxes))
+    assert dom.contains(zero) == any(
+        all(l <= 0 < h for l, h in zip(lo, hi)) for lo, hi in dom.boxes)
+    assert built(lambda: shift_spectrum(spec, origin, 1)) == built(
+        lambda: fraction_shift(spec, origin))
     for a in sets[:2]:
         got = built(lambda: minkowski_translate(dom, a))
         assert got == built(lambda: fraction_minkowski(dom, a))
