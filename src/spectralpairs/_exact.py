@@ -7,7 +7,9 @@ Floating point enters only in ``cis``, which evaluates every phase as an
 integer over a common denominator, reduced mod the denominator *before*
 exponentiation: a root of unity never accumulates error, and the quarter
 phases are exact, so cancellations like 1 + e^{i pi} come out as literal
-zeros.  ``mul`` and ``over_2pi_i`` round like Python's complex scalars.
+zeros.  It evaluates its distinct residues in one numpy pass, with the bits of
+``math.cos`` and ``math.sin``.  ``mul`` and ``over_2pi_i`` round like Python's
+complex scalars.
 """
 
 from __future__ import annotations
@@ -51,24 +53,30 @@ def adjugate(m) -> tuple[np.ndarray, int]:
     return -sign * mk, sign * c
 
 
+def ratio(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums/den for an integer array, correctly rounded: in float64 when every operand is
+    exact there (below 2**53), else one quotient of Python ints at a time."""
+    if nums.dtype == np.int64 and max(den, int(np.abs(nums).max(initial=0))) < 1 << 53:
+        return nums / den
+    return np.array([u / den for u in nums.ravel().tolist()]).reshape(nums.shape)
+
+
 def cis(nums, den: int) -> np.ndarray:
     """e^{2 pi i nums/den} for an integer array ``nums`` of any shape.
 
-    Each numerator is reduced mod ``den`` and each distinct residue u is
-    evaluated once: exactly 1, i, -1, -i at the quarter phases, otherwise
-    cos and sin of 2 pi (u/den), where u/den, a quotient of Python ints,
-    is correctly rounded.
+    Each numerator is reduced mod ``den`` and the distinct residues u are
+    evaluated in one array pass: cos and sin of 2 pi (u/den), u/den correctly
+    rounded (``ratio``), then exactly 1, i, -1, -i at the quarter phases.
     """
     nums = np.asarray(nums)
-    residues, index = np.unique(nums % den, return_inverse=True)
+    residues, index = np.unique(nums.ravel() % den, return_inverse=True)
+    t = 2.0 * math.pi * ratio(residues, den)
     table = np.empty(len(residues), dtype=complex)
-    for i, u in enumerate(residues.tolist()):
-        quarter, rest = divmod(4 * u, den)
-        if rest == 0:
-            table[i] = (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
-        else:
-            t = 2.0 * math.pi * (u / den)
-            table[i] = complex(math.cos(t), math.sin(t))
+    table.real, table.imag = np.cos(t), np.sin(t)
+    step = den // math.gcd(den, 4)  # the quarter phases are the multiples of den/gcd(den, 4)
+    quarter = residues % step == 0
+    turn = (residues[quarter] // step).astype(int) * (4 * step // den)
+    table[quarter] = np.array((1 + 0j, 1j, -1 + 0j, -1j))[turn]  # -1j has real part -0.0
     return table[index].reshape(nums.shape)
 
 
@@ -89,6 +97,11 @@ def over_2pi_i(a, t) -> np.ndarray:
     out.real = (a.real * 0.0 + a.imag) / w
     out.imag = (a.imag * 0.0 - a.real) / w
     return out
+
+
+def complex_pairs(m) -> list:
+    """A complex array as nested lists of [re, im] Python floats, for JSON."""
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def to_vector(x, dimension: int) -> Vec:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _exact
 from ._exact import Vec, to_vector
-from .domains import (BoxDomain, Spectrum, _numerators, _reduce, _scaled, enumerate_spectrum,
-                      shift_spectrum)
+from .domains import (BoxDomain, Spectrum, _numerators, _reduce, _scaled, _top, _translates,
+                      enumerate_spectrum, shift_spectrum)
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
     FiniteSet,
@@ -41,36 +41,29 @@ from .finite_pairs import (
 )
 
 
-def _interval_factor(diffs: np.ndarray, scale: int, lo: Fraction, hi: Fraction) -> np.ndarray:
-    """Integral of e^{2 pi i nu x} over [lo, hi) for each nu = diffs/scale:
-    (cis(nu hi) - cis(nu lo)) / (2 pi i nu), and hi - lo at nu = 0."""
-    top = (_exact.cis(diffs * hi.numerator, scale * hi.denominator)
-           - _exact.cis(diffs * lo.numerator, scale * lo.denominator))
-    nu, zero = (diffs / scale).astype(float), diffs == 0  # float(nu), correctly rounded
-    nu[zero] = 1.0
-    out = _exact.over_2pi_i(top, nu)
-    out[zero] = float(hi - lo)
-    return out
-
-
 def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
     """M[i, k] = <e_rows[i], e_cols[k]> over the domain, for rational vectors.
 
-    An entry is a sum over boxes of products over axes of 1-d factors of
-    the coordinate difference.  The closed form is evaluated once per
-    distinct difference (integers over the axis's common denominator),
-    box and axis, then gathered by index and combined in the order of
-    ``term = complex(1.0); term *= factor; total += term``, so every entry
-    has the bits of that scalar evaluation.
+    An entry is a sum over boxes of products over axes of the integrals of
+    e^{2 pi i nu x} over [lo, hi), nu the coordinate difference: (cis(nu hi) -
+    cis(nu lo)) / (2 pi i nu), and hi - lo at nu = 0.  Per axis, one ``cis`` call
+    covers every distinct difference at every box corner; the factors are
+    gathered by index and combined in the order of ``term = complex(1.0);
+    term *= factor; total += term``, so every entry has that scalar's bits.
     """
     n, m = len(rows), len(cols)
     tables = []
     for k in range(dom.dimension):
         nums, scale = _exact.common_denominator([p[k] for p in rows] + [p[k] for p in cols])
-        nums = _exact.int_array(nums, 2 * max(map(abs, nums)))
+        corners, den = dom._corners[:, k], dom._den  # lower, upper, ... of each box
+        bound = max(2 * max(map(abs, nums)), scale) * max(_top(corners), den)
+        nums, corners = (_exact.int_array(x, bound) for x in (nums, corners))
         diffs, index = np.unique(np.subtract.outer(nums[:n], nums[n:]), return_inverse=True)
-        diffs = diffs.astype(object)  # the few distinct values take exact products with the corners
-        factors = [_interval_factor(diffs, scale, lo[k], hi[k]) for lo, hi in dom.boxes]
+        ends = _exact.cis(np.multiply.outer(corners, diffs), scale * den)
+        nu, zero = _exact.ratio(diffs, scale), diffs == 0  # float(nu), correctly rounded
+        nu[zero] = 1.0
+        factors = _exact.over_2pi_i(ends[1::2] - ends[0::2], nu)
+        factors[:, zero] = _exact.ratio(corners[1::2] - corners[0::2], den)[:, None]
         tables.append((factors, index.reshape(n, m)))
     total = np.zeros((n, m), dtype=complex)
     for b in range(len(dom.boxes)):
@@ -115,7 +108,7 @@ class GramMatrix:
     def to_json_dict(self) -> dict:
         return {
             "points": [[str(c) for c in p] for p in self.points],
-            "entries": [[[z.real, z.imag] for z in row] for row in self.entries.tolist()],
+            "entries": _exact.complex_pairs(self.entries),
         }
 
 
@@ -190,10 +183,8 @@ class DualBasis:
 
     def to_json_dict(self) -> dict:
         return {
-            "finite_dual": [[[z.real, z.imag] for z in row] for row in self.finite_dual.tolist()],
-            "piece_coefficients": [
-                [[z.real, z.imag] for z in row] for row in self.piece_coefficients.tolist()
-            ],
+            "finite_dual": _exact.complex_pairs(self.finite_dual),
+            "piece_coefficients": _exact.complex_pairs(self.piece_coefficients),
             "self_dual": self.is_self_dual,
         }
 
@@ -274,11 +265,10 @@ def reconstruct_function(
     if grid.ndim != 2 or grid.shape[1] != dom.dimension:
         raise ShapeMismatchError("evaluation grid must be (m, %d) points" % dom.dimension)
 
-    piece = np.full(len(grid), -1, dtype=int)  # the first translate holding the point
-    for r, p in enumerate(dual.a.points):
-        for lo, hi in dual.base_domain.translate(p).boxes:
-            lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-            piece[(piece < 0) & np.all((lo <= grid) & (grid < hi), axis=1)] = r
+    corners = _exact.ratio(_translates(dual.base_domain, dual.a)[0], dual.base_domain._den)
+    inside = np.all((corners[0::2, None] <= grid) & (grid < corners[1::2, None]), axis=2)
+    # the first translate holding the point: boxes are translate-major
+    piece = np.where(inside.any(axis=0), inside.argmax(axis=0) // len(dual.base_domain.boxes), -1)
 
     freq = np.array([[float(c) for c in p] for p in points])
     phases = np.exp(2j * np.pi * (grid @ freq.T))

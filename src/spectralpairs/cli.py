@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import complex_pairs
 from .analytics import (
     DualBasis,
     build_gram,
@@ -197,7 +198,7 @@ def _cmd_classify(ns) -> int:
         "A": a.to_json_dict(),
         "J": j.to_json_dict(),
         **classification.to_json_dict(),
-        "matrix": [[[z.real, z.imag] for z in row] for row in matrix.entries],
+        "matrix": complex_pairs(matrix.entries),
     }
     _emit_json(report, ns.out)
     return 0

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .domains import (
     BoxDomain,
     Spectrum,
+    _translates,
     minkowski_translate,
     root_of_unity_condition,
     shift_spectrum,
@@ -146,26 +147,17 @@ def _json_float(x: float):
     return None if math.isnan(x) else x
 
 
-def _geometry_checks(
-    base: ContinuousPair, a: FiniteSet
-) -> tuple[BoxDomain | None, list[HypothesisCheck]]:
-    """The domain Omega_1 + A (None when translates overlap) and the two
-    exact geometric hypotheses: disjoint translates, then root of unity."""
-    domain = None
-    try:
-        domain = minkowski_translate(base.domain, a)
-        disjoint = HypothesisCheck("disjoint-translates", True, "translated copies disjoint")
-    except OverlapError as exc:
-        disjoint = HypothesisCheck("disjoint-translates", False, str(exc))
+def _geometry_checks(base: ContinuousPair, a: FiniteSet, overlap: OverlapError | None) -> list:
+    """The two exact geometric hypotheses: disjoint translates (``overlap`` names the
+    first overlapping pair, if any), then root of unity."""
     root_ok = root_of_unity_condition(base.spectrum, a)
-    root = HypothesisCheck(
-        "root-of-unity",
-        root_ok,
-        "e^{2 pi i lambda.a} = 1 for all base spectrum points and a in A"
-        if root_ok
-        else "root-of-unity condition failed",
-    )
-    return domain, [disjoint, root]
+    return [
+        HypothesisCheck("disjoint-translates", overlap is None,
+                        "translated copies disjoint" if overlap is None else str(overlap)),
+        HypothesisCheck("root-of-unity", root_ok,
+                        "e^{2 pi i lambda.a} = 1 for all base spectrum points and a in A"
+                        if root_ok else "root-of-unity condition failed"),
+    ]
 
 
 def _combine(
@@ -198,8 +190,12 @@ def _combine(
         card_msg = "#J = %d, #A = %d (need #J = #A)" % (len(j), len(a))
     checks.append(HypothesisCheck("cardinality", card_ok, card_msg))
 
-    domain, geometry = _geometry_checks(base, a)
-    checks.extend(geometry)
+    domain = overlap = None
+    try:
+        domain = minkowski_translate(base.domain, a)
+    except OverlapError as exc:
+        overlap = exc
+    checks.extend(_geometry_checks(base, a, overlap))
 
     finite = None
     if card_ok:
@@ -313,7 +309,7 @@ def check_completeness_hypotheses(
     Needs disjoint translates, the root-of-unity condition, and a base
     system that is itself complete (any frame kind suffices).
     """
-    _, checks = _geometry_checks(base, a)
+    checks = _geometry_checks(base, a, _translates(base.domain, a)[1])
     checks.append(
         HypothesisCheck(
             "base-complete",

@@ -88,10 +88,11 @@ class BoxDomain:
         corners = [to_vector(c, self.dimension) for lo, hi in self.boxes for c in (lo, hi)]
         self._validate(*_numerators(corners, self.dimension))
 
-    def _validate(self, corners: np.ndarray, den: int) -> "BoxDomain":
+    def _validate(self, corners: np.ndarray, den: int, disjoint: bool = False) -> "BoxDomain":
         """Every check of a domain, on integer corner rows (lower, upper, ...) over their least
-        common denominator: at least one box, none empty, none overlapping.  The domain then
-        carries them and reads its dimension and boxes from them, so builders skip coercion."""
+        common denominator: at least one box, none empty, none overlapping (unless the caller
+        has found them ``disjoint``).  The domain then carries them and reads its dimension and
+        boxes from them, so builders skip coercion."""
         if not len(corners):
             raise ValueError("a domain needs at least one box")
         lo, hi = corners[0::2], corners[1::2]
@@ -102,15 +103,13 @@ class BoxDomain:
         empty = np.flatnonzero(~np.all(lo < hi, axis=1))
         if len(empty):
             raise ValueError("empty box: lo=%s hi=%s" % box(empty[0]))
-        overlaps = _overlaps(lo, hi)
+        overlaps = [] if disjoint else _overlaps(lo, hi)
         if overlaps:
             i, k = min(overlaps)
-            error = OverlapError(
+            raise OverlapError(
                 "boxes %d and %d intersect with positive measure" % (i, k),
                 offending=(box(i), box(k)),
             )
-            error._overlaps = overlaps  # every overlapping pair, for minkowski_translate
-            raise error
         rows = _fractions(corners.tolist(), den)
         object.__setattr__(self, "dimension", corners.shape[1])
         object.__setattr__(self, "boxes", tuple(zip(rows[0::2], rows[1::2])))
@@ -282,6 +281,25 @@ def _same_dimension(what: str, x, s: FiniteSet) -> None:
             "%s dimension %d != set dimension %d" % (what, x.dimension, s.dimension))
 
 
+def _translates(base: BoxDomain, a: FiniteSet) -> tuple[np.ndarray, OverlapError | None]:
+    """Integer corner rows of the copies base + a, translate-major, over base's denominator
+    (integer translates keep it least), and the error naming the first pair of copies, in
+    the order of A, that overlap with positive measure (None when they are disjoint)."""
+    _same_dimension("domain", base, a)
+    d, den, m = base.dimension, base._den, len(base.boxes)
+    bound = _top(base._corners) + a.modulus * den
+    offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
+    corners = (offsets + int_array(base._corners, bound)).reshape(-1, d)
+    overlaps = _overlaps(corners[0::2], corners[1::2])
+    if not overlaps:
+        return corners, None
+    i, k = min((i // m, k // m) for i, k in overlaps)  # box i lies in the translate i // m
+    return corners, OverlapError(
+        "translates by %s and %s overlap with positive measure" % (a.points[i], a.points[k]),
+        offending=(a.points[i], a.points[k]),
+    )
+
+
 def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
     """The union of the translated copies {base + a : a in A}.
 
@@ -289,20 +307,10 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
     overlap raises with the offending pair of translation vectors named:
     the first overlapping pair in the order of A.
     """
-    _same_dimension("domain", base, a)
-    d, den = base.dimension, base._den  # integer translates keep D least
-    bound = _top(base._corners) + a.modulus * den
-    offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
-    corners = (offsets + int_array(base._corners, bound)).reshape(-1, d)  # translate-major
-    try:
-        return object.__new__(BoxDomain)._validate(corners, den)
-    except OverlapError as error:
-        m = len(base.boxes)  # box i lies in the translate by a.points[i // m]
-        i, k = min((i // m, k // m) for i, k in error._overlaps)
-        raise OverlapError(
-            "translates by %s and %s overlap with positive measure" % (a.points[i], a.points[k]),
-            offending=(a.points[i], a.points[k]),
-        ) from None
+    corners, overlap = _translates(base, a)
+    if overlap:
+        raise overlap
+    return object.__new__(BoxDomain)._validate(corners, base._den, disjoint=True)
 
 
 def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:

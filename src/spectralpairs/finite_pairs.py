@@ -242,9 +242,16 @@ def symbol_of_set(j: FiniteSet, k) -> complex:
     k = (k,) if isinstance(k, int) else tuple(int(c) for c in k)
     if len(k) != j.dimension:
         raise DimensionMismatchError("argument %r does not have dimension %d" % (k, j.dimension))
-    column = build_evaluation_matrix(FiniteSet(j.modulus, j.dimension, (k,)), j).entries[:, 0]
-    total = 0j
-    for term in column.tolist():
+    return complex(_symbols(j, [[c % j.modulus for c in k]])[0])
+
+
+def _symbols(j: FiniteSet, ks) -> np.ndarray:
+    """The symbol of J at each row of ``ks`` (integers in [0, N)), from one ``cis`` call,
+    the terms of each sum added in the order of J from 0j."""
+    n, d = j.modulus, j.dimension
+    jm, km = (int_array(x, d * n * n).reshape(-1, d) for x in (j.points, ks))
+    total = np.zeros(len(km), dtype=complex)
+    for term in cis(-(jm @ km.T), n):
         total += term
     return total
 

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import cis, common_denominator, int_array, mul, over_2pi_i
-from .domains import BoxDomain, minkowski_translate, unit_box
+from ._exact import cis, common_denominator, int_array, mul, over_2pi_i, ratio
+from .domains import BoxDomain, _top, minkowski_translate, unit_box
 from .errors import DimensionMismatchError
-from .finite_pairs import FiniteSet, Tolerances, symbol_of_set
+from .finite_pairs import FiniteSet, Tolerances, _symbols, symbol_of_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +50,8 @@ class BandlimitedSignal:
         object.__setattr__(
             self, "pieces", tuple(tuple(complex(c) for c in p) for p in self.pieces)
         )
+        edges = [(float(lo[0]), float(hi[0])) for lo, hi in self.spectrum_domain.boxes]
+        object.__setattr__(self, "_edges", tuple(edges))  # for hat, converted once
 
     @classmethod
     def indicator(cls, domain: BoxDomain) -> "BandlimitedSignal":
@@ -58,9 +60,9 @@ class BandlimitedSignal:
 
     def hat(self, xi: float) -> complex:
         """Evaluate the Fourier transform at a real frequency."""
-        for (lo, hi), coeffs in zip(self.spectrum_domain.boxes, self.pieces):
-            if float(lo[0]) <= xi < float(hi[0]):
-                t = xi - float(lo[0])
+        for (lo, hi), coeffs in zip(self._edges, self.pieces):
+            if lo <= xi < hi:
+                t = xi - lo
                 return sum(c * t**m for m, c in enumerate(coeffs))
         return 0j
 
@@ -79,7 +81,7 @@ def _samples(f: BandlimitedSignal, nums: np.ndarray, scale: int) -> list[complex
     sum c_m l^{m+1}/(m+1) at t = 0.  The arithmetic follows those scalar
     formulas step for step, boxes summed in order from 0j.
     """
-    t, zero = (nums / scale).astype(float), nums == 0  # float(t), correctly rounded
+    t, zero = ratio(nums, scale), nums == 0  # float(t), correctly rounded
     t[zero] = 1.0
     total = np.zeros(len(nums), dtype=complex)
     for (lo, hi), coeffs in zip(f.spectrum_domain.boxes, f.pieces):
@@ -145,29 +147,21 @@ class AliasCoefficient:
     value: complex
     in_difference_set: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "value": [self.value.real, self.value.imag],
-            "in_difference_set": self.in_difference_set,
-        }
 
-
-def _difference_set(a: FiniteSet) -> set[int]:
-    reps = [p[0] for p in a.points]
-    return {x - y for x in reps for y in reps}
+def _alias_table(a: FiniteSet, j: FiniteSet, k_range):
+    """The integers k of the range, the symbol chi_hat_J(k) at each, and whether k is in A - A."""
+    if a.dimension != 1 or j.dimension != 1:
+        raise DimensionMismatchError("aliasing analysis is one-dimensional here")
+    k_min, k_max = int(k_range[0]), int(k_range[1])
+    ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
+    reps = int_array(a.points, a.modulus).ravel()
+    return ks, _symbols(j, ks[:, None] % j.modulus), np.isin(ks, np.subtract.outer(reps, reps))
 
 
 def alias_coefficients(a: FiniteSet, j: FiniteSet, k_range) -> list[AliasCoefficient]:
     """Tabulate the symbol chi_hat_J(k) over an integer interval, flagging A - A."""
-    if a.dimension != 1 or j.dimension != 1:
-        raise DimensionMismatchError("aliasing analysis is one-dimensional here")
-    k_min, k_max = int(k_range[0]), int(k_range[1])
-    diffs = _difference_set(a)
-    return [
-        AliasCoefficient(k, symbol_of_set(j, k), k in diffs)
-        for k in range(k_min, k_max + 1)
-    ]
+    ks, values, differences = _alias_table(a, j, k_range)
+    return list(map(AliasCoefficient, ks.tolist(), values.tolist(), differences.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,32 +211,23 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
     non-orthogonal J shows up as a named violation); all other k must
     have Omega and Omega + k disjoint, decided in rational arithmetic.
     """
-    coefficients = alias_coefficients(a, j, k_range)
-    omega = minkowski_translate(unit_box(1), a)
-    dc = symbol_of_set(j, 0)
-    cancelled, symbol_violations = [], []
-    disjoint, overlap_violations = [], []
-    for entry in coefficients:
-        if entry.k == 0:
-            continue
-        if entry.in_difference_set:
-            if abs(entry.value) < Tolerances().unitary:
-                cancelled.append(entry.k)
-            else:
-                symbol_violations.append((entry.k, abs(entry.value)))
-        else:
-            measure = omega.intersection_measure(omega.translate((entry.k,)))
-            if measure == 0:
-                disjoint.append(entry.k)
-            else:
-                overlap_violations.append((entry.k, str(measure)))
+    ks, values, differences = _alias_table(a, j, k_range)
+    corners = minkowski_translate(unit_box(1), a)._corners  # integers: [0, 1) + A has D = 1
+    bound = len(corners) ** 2 * (2 * _top(corners) + _top(ks))
+    lo, hi, shift = (int_array(x, bound) for x in (corners[0::2], corners[1::2], ks[:, None, None]))
+    sides = np.minimum(hi, hi.T + shift) - np.maximum(lo, lo.T + shift)  # box pairs, every k
+    measures = np.maximum(sides, 0).sum(axis=(1, 2))  # |Omega & (Omega + k)|
+    size = np.hypot(values.real, values.imag)  # abs(value), as Python takes it
+    symbol, small, apart = differences & (ks != 0), size < Tolerances().unitary, measures == 0
+    shifts = ~differences & (ks != 0)
     return AliasReport(
-        dc_value=dc.real,
+        dc_value=symbol_of_set(j, 0).real,
         dc_expected=len(j),
-        cancelled=tuple(cancelled),
-        symbol_violations=tuple(symbol_violations),
-        disjoint=tuple(disjoint),
-        overlap_violations=tuple(overlap_violations),
+        cancelled=tuple(ks[symbol & small].tolist()),
+        symbol_violations=tuple(zip(ks[symbol & ~small].tolist(), size[symbol & ~small].tolist())),
+        disjoint=tuple(ks[shifts & apart].tolist()),
+        overlap_violations=tuple(zip(ks[shifts & ~apart].tolist(),
+                                     map(str, measures[shifts & ~apart].tolist()))),
     )
 
 
@@ -259,6 +244,6 @@ def reconstruct_spectrum(samples, p: SamplePattern, j: FiniteSet, eval_points) -
     if samples.shape != (len(nums),):
         raise ValueError("%d samples for %d pattern points" % (samples.size, len(nums)))
     xi = np.asarray(eval_points, dtype=float)
-    lams = (nums / den).astype(float)  # float(lam), correctly rounded
+    lams = ratio(nums, den)  # float(lam), correctly rounded
     kernel = np.exp(-2j * np.pi * np.outer(xi, lams))
     return kernel @ samples / len(j)

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -103,6 +104,21 @@ class TestGram:
         pair = combine_riesz(unit_base, a, j).pair
         diag = np.diag(build_gram(pair.domain, pair.spectrum, 3).entries)
         assert np.abs(diag - 2.0).max() < 1e-12
+
+    def test_json_matches_per_entry_conversion(self, unit_base, golden_sets):
+        # complex matrices go to JSON in one array pass, with the text of converting
+        # each entry on its own: -0.0 parts and last bits included
+        a, j = golden_sets
+        pair = combine_riesz(unit_base, a, j).pair
+        gram = build_gram(pair.domain, pair.spectrum, 3)
+        dual = DualBasis.build(unit_base.domain, a, j)
+        for matrix, got in [(gram.entries, gram.to_json_dict()["entries"]),
+                            (dual.finite_dual, dual.to_json_dict()["finite_dual"]),
+                            (dual.piece_coefficients, dual.to_json_dict()["piece_coefficients"])]:
+            expected = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+            assert json.dumps(got) == json.dumps(expected)
+            assert all(type(x) is float for row in got for z in row for x in z)
+        assert "-0.0" in json.dumps(gram.to_json_dict())
 
     def test_empty_enumeration_raises(self):
         spec = Spectrum(1, (("1",),), (("1/2",),))

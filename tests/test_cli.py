@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from spectralpairs import BoxDomain, ContinuousPair, scaled_lattice
+from spectralpairs import (BoxDomain, ContinuousPair, FiniteSet, build_evaluation_matrix,
+                           classify_finite_pair, scaled_lattice)
 from spectralpairs.cli import run
 
 
@@ -23,6 +24,20 @@ class TestClassify:
         assert report["upper"] == pytest.approx(2, abs=1e-10)
         assert report["matrix"][0] == [[1.0, 0.0], [1.0, 0.0]]
         assert abs(report["matrix"][1][1][0] + 1) < 1e-12  # omega^2 = -1
+
+    def test_matrix_bytes_match_per_entry_conversion(self, tmp_path):
+        # the matrix goes to JSON in one array pass; the bytes are those of converting
+        # each complex entry on its own, -0.0 included (omega^3 = -i has real part -0.0)
+        out = tmp_path / "report.json"
+        args = ["classify", "--N", "4", "--A", "0,1,3", "--J", "0,1,2", "--out", str(out)]
+        assert run(args) == 0
+        a, j = FiniteSet.from_ints(4, [0, 1, 3]), FiniteSet.from_ints(4, [0, 1, 2])
+        report = {"A": a.to_json_dict(), "J": j.to_json_dict(),
+                  **classify_finite_pair(a, j).to_json_dict(),
+                  "matrix": [[[z.real, z.imag] for z in row]
+                             for row in build_evaluation_matrix(a, j).entries]}
+        assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+        assert b"-0.0" in out.read_bytes()
 
     def test_duplicate_points_are_input_error(self, capsys):
         assert run(["classify", "--N", "3", "--A", "0,1", "--J", "0,0"]) == 1

@@ -9,6 +9,7 @@ from spectralpairs import (
     BoxDomain,
     ContinuousPair,
     FiniteSet,
+    OverlapError,
     PairKind,
     UnsupportedPairError,
     bessel_constant,
@@ -193,6 +194,22 @@ class TestCompleteness:
             unit_base, FiniteSet.from_ints(4, [0]), FiniteSet.from_ints(4, [0, 1])
         )
         assert report.applies
+
+    def test_overlapping_translates_named_as_minkowski_translate_names_them(self):
+        # [0, 2) + {0, 3, 1}: the copies by 0 and 1 overlap, found without building the domain
+        base = ContinuousPair.orthogonal(BoxDomain.from_boxes([(0, 1), (1, 2)]),
+                                         scaled_lattice(1, "1/2"))
+        a, j = FiniteSet.from_ints(6, [0, 3, 1]), FiniteSet.from_ints(6, [0, 1, 2])
+        report = check_completeness_hypotheses(base, a, j)
+        assert not report.applies
+        check = report.checks[0]
+        assert (check.name, check.passed) == ("disjoint-translates", False)
+        with pytest.raises(OverlapError) as raised:
+            minkowski_translate(base.domain, a)
+        assert check.detail == str(raised.value)
+        assert check.detail == "translates by (0,) and (1,) overlap with positive measure"
+        assert raised.value.offending == ((0,), (1,))
+        assert combine_riesz(base, a, j).checks[2] == check
 
 
 class TestBesselConstant:

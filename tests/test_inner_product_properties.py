@@ -8,6 +8,7 @@ replaced: the closed form per axis and box, multiplied into
 must reproduce those floats bit for bit, not just to a tolerance.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,15 +18,19 @@ from hypothesis import strategies as st
 
 from spectralpairs import (
     BoxDomain,
+    ContinuousPair,
     DuplicateSpectrumError,
     FiniteSet,
     NonInvertibleError,
+    PairKind,
     Spectrum,
     build_gram,
+    combine_orthogonal,
     dual_piece_coefficients,
     enumerate_spectrum,
     estimate_frame_bounds,
     exp_inner_product,
+    integer_lattice,
     shift_spectrum,
     verify_biorthogonality,
 )
@@ -148,6 +153,61 @@ def test_nested_bounds_equal_per_radius_grams(case, first):
     radii = sorted({first, Fraction(radius)})
     assume(enumerate_spectrum(spec, radii[0]) and len(enumerate_spectrum(spec, radii[-1])) <= 40)
     assert estimate_frame_bounds(dom, spec, radii) == reference_bounds(dom, spec, radii)
+
+
+@settings(max_examples=80, deadline=None)
+@given(domain_and_spectrum(), st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1]))
+def test_gram_is_the_principal_submatrix_of_a_larger_window(case, smaller):
+    """build_gram at r < R: the rows and columns of the points within r, bit for bit."""
+    dom, spec, radius = case
+    assume(smaller < radius and enumerate_spectrum(spec, smaller))
+    assume(len(enumerate_spectrum(spec, radius)) <= 60)
+    small, large = build_gram(dom, spec, smaller), build_gram(dom, spec, radius)
+    keep = [i for i, p in enumerate(large.points) if max(map(abs, p)) <= smaller]
+    assert small.points == tuple(large.points[i] for i in keep)
+    assert small.entries.tobytes() == large.entries[np.ix_(keep, keep)].tobytes()
+
+
+@st.composite
+def orthogonal_combinations(draw):
+    """[t, t + 1)^d with Z^d, combined with A = m {0..k-1} and J = {s + k c_s : s < k} in
+    Z_{km} (in 2-d the product of two such sets): an orthogonal pair on a union of #A boxes."""
+    d = draw(st.sampled_from([1, 2]))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    axes = [(draw(st.integers(0, k * m - 1)), [draw(st.integers(0, m - 1)) for _ in range(k)])
+            for _ in range(d)]
+    a = [[(t + m * i) % (k * m) for i in range(k)] for t, _ in axes]
+    j = [[s + k * c for s, c in enumerate(cs)] for _, cs in axes]
+    a, j = (FiniteSet(k * m, d, tuple(itertools.product(*sets))) for sets in (a, j))
+    t = draw(RATIONALS)
+    base = ContinuousPair.orthogonal(BoxDomain(d, (((t,) * d, (t + 1,) * d),)),
+                                     integer_lattice(d))
+    return base, a, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_combinations(), st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2)]))
+def test_orthogonal_combination_gram_is_measure_times_identity(case, radius):
+    base, a, j = case
+    result = combine_orthogonal(base, a, j)
+    assert result.ok and result.kind is PairKind.ORTHOGONAL_BASIS
+    gram = build_gram(result.pair.domain, result.pair.spectrum, radius)
+    measure = float(result.pair.domain.measure)
+    assert measure == len(a)
+    assert np.abs(gram.entries - measure * np.eye(len(gram))).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2**50, 2**54), st.data())
+def test_wide_differences_keep_correctly_rounded_quotients(q, data):
+    """Frequencies over one denominator q near 2**53 and corners of at most 8: the
+    differences, past 2**53, stay int64, and their float quotients still round correctly."""
+    cuts = sorted(data.draw(st.sets(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8)),
+                                    min_size=2, max_size=6)))
+    dom = BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
+    lam, mu = (Fraction(data.draw(st.integers(-2 * q, 2 * q)), q) for _ in range(2))
+    got = exp_inner_product(dom, lam, mu)
+    assert bits(got) == bits(reference_inner_product(dom, (lam,), (mu,)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,8 @@
 """Differential tests: the array phase kernel against the scalar phase path.
 
+``_exact.cis`` evaluates its distinct residues in one numpy pass, and
 ``build_evaluation_matrix``, ``dual_piece_coefficients`` and
-``sample_signal`` evaluate every phase through ``_exact.cis`` over whole
+``sample_signal`` evaluate every phase through it over whole
 integer arrays.  The references below are the per-entry paths they
 replaced, built on the scalar ``cis`` kept in ``scalar_phases``: one
 ``Fraction`` phase at a time, and the closed form of each sample in
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scalar_phases import cis
 
+from spectralpairs import _exact
 from spectralpairs import (
     BandlimitedSignal,
     BoxDomain,
@@ -30,6 +32,66 @@ from spectralpairs import (
 from spectralpairs.finite_pairs import _checked_inverse
 
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def reference_cis(nums, den):
+    """The scalar kernel on each numerator, in the shape of ``nums``."""
+    flat = [cis(Fraction(u, den)) for u in np.ravel(nums).tolist()]
+    return np.array(flat, dtype=complex).reshape(np.shape(nums))
+
+
+def check_cis(nums, den):
+    got = _exact.cis(nums, den)
+    assert got.dtype == complex and got.shape == np.shape(nums)
+    assert got.tobytes() == reference_cis(nums, den).tobytes()
+
+
+INT64 = st.integers(-(2**62) + 1, 2**62 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**53 - 1), st.lists(INT64, max_size=40))
+def test_cis_int64_path_is_bit_identical(den, nums):
+    """Residues and denominator below 2**53: one float64 quotient per residue."""
+    check_cis(np.array(nums, dtype=np.int64), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2**53, 2**62), st.lists(INT64, max_size=40))
+def test_cis_int64_input_past_2_53_is_bit_identical(den, nums):
+    """int64 residues whose quotient float64 cannot form exactly: Python-int quotients."""
+    check_cis(np.array(nums, dtype=np.int64), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**80), st.lists(st.integers(-(2**80), 2**80), max_size=40))
+def test_cis_python_int_path_is_bit_identical(den, nums):
+    check_cis(np.array(nums, dtype=object), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**70), st.sampled_from([1, 2, 4]), st.lists(st.integers(-8, 8), max_size=12),
+       st.sampled_from([np.int64, object]))
+def test_quarter_residues_are_exact(m, turns, multiples, dtype):
+    """Numerators on the quarter phases of den = turns m give exactly 1, i, -1, -i, where
+    -i has real part -0.0 as Python writes it."""
+    den = turns * m
+    if dtype is np.int64 and 8 * den >= 2**62:  # callers size int64 for the modulus too
+        dtype = object
+    nums = np.array([q * m for q in multiples], dtype=dtype)
+    check_cis(nums, den)
+    quarters = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
+    expected = [quarters[q * 4 // turns % 4] for q in multiples]
+    assert _exact.cis(nums, den).tobytes() == np.array(expected, dtype=complex).tobytes()
+
+
+def test_cis_empty_and_zero_dimensional_shapes():
+    for den in (1, 7, 2**53 + 5, 2**80):
+        dtype = np.int64 if den < 2**62 else object  # callers size int64 for the modulus too
+        check_cis(np.zeros(0, dtype=dtype), den)
+        check_cis(np.zeros((3, 0), dtype=object), den)
+        for u in (0, 1, -5, den // 4, 3 * den // 4 + 1):
+            check_cis(np.array(u, dtype=dtype), den)
 
 
 def reference_evaluation_matrix(a, j):

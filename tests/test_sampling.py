@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scalar_phases import cis as scalar_cis
 from scipy import integrate
 
 from spectralpairs import (
@@ -212,3 +215,106 @@ class TestReconstruction:
         # f(0) = integral of hat f: compare against the trapezoid of est
         recovered = float(np.mean(est.real) * float(omega.measure))
         assert recovered == pytest.approx(float(signal.sample(0).real), abs=5e-3)
+
+
+# Differential tests: the alias table takes every k of the range at once (one
+# ``cis`` call for the symbol, one integer overlap test for Omega and Omega + k).
+# The references below are the per-k paths it replaced: the symbol summed term
+# by term from the scalar phase kernel, and the exact intersection measure of
+# the rational domains Omega and Omega + k.
+
+
+def reference_symbol(j, k):
+    total = 0j
+    for (p,) in j.points:
+        total += scalar_cis(Fraction(-p * k, j.modulus))
+    return total
+
+
+def reference_alias(a, j, k_range):
+    reps = [p[0] for p in a.points]
+    differences = {x - y for x in reps for y in reps}
+    omega = minkowski_translate(unit_box(1), a)
+    table = [(k, reference_symbol(j, k), k in differences)
+             for k in range(k_range[0], k_range[1] + 1)]
+    cancelled, violations, disjoint, overlaps = [], [], [], []
+    for k, value, in_difference_set in table:
+        if k == 0:
+            continue
+        if in_difference_set:
+            if abs(value) < 1e-10:
+                cancelled.append(k)
+            else:
+                violations.append((k, abs(value)))
+        else:
+            measure = omega.intersection_measure(omega.translate((k,)))
+            if measure == 0:
+                disjoint.append(k)
+            else:
+                overlaps.append((k, str(measure)))
+    report = AliasReport(reference_symbol(j, 0).real, len(j), tuple(cancelled),
+                         tuple(violations), tuple(disjoint), tuple(overlaps))
+    return table, report
+
+
+@st.composite
+def alias_cases(draw):
+    n = draw(st.integers(1, 24))
+    a, j = (FiniteSet.from_ints(n, draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                 max_size=min(n, 5), unique=True)))
+            for _ in range(2))
+    k_min = draw(st.integers(-3 * n, 1))
+    return a, j, (k_min, draw(st.integers(k_min - 1, 3 * n)))  # may be empty
+
+
+@settings(max_examples=200, deadline=None)
+@given(alias_cases())
+@example((FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1]), (-8, 8)))
+@example((FiniteSet.from_ints(6, [0, 3]), FiniteSet.from_ints(6, [0, 3]), (-12, 12)))
+def test_alias_table_matches_per_k_reference(case):
+    a, j, k_range = case
+    table, report = reference_alias(a, j, k_range)
+    got = alias_coefficients(a, j, k_range)
+    assert [(e.k, e.in_difference_set) for e in got] == [(k, d) for k, _, d in table]
+    assert all(type(e.value) is complex and type(e.k) is int for e in got)
+    assert (np.array([e.value for e in got], dtype=complex).tobytes()
+            == np.array([v for _, v, _ in table], dtype=complex).tobytes())
+    got = verify_alias_cancellation(a, j, k_range)
+    assert got.to_json_dict() == report.to_json_dict()
+    assert repr(got.to_json_dict()) == repr(report.to_json_dict())  # the float bits too
+
+
+def test_alias_table_past_2_62_takes_python_ints():
+    n = 3 * 2**70
+    a = FiniteSet(n, 1, ((0,), (n // 3,), (n // 2,)))
+    j = FiniteSet(n, 1, ((0,), (1,), (n - 5,)))
+    table, report = reference_alias(a, j, (-4, 4))
+    got = verify_alias_cancellation(a, j, (-4, 4))
+    assert repr(got.to_json_dict()) == repr(report.to_json_dict())
+    values = [e.value for e in alias_coefficients(a, j, (-4, 4))]
+    assert np.array(values).tobytes() == np.array([v for _, v, _ in table]).tobytes()
+
+
+def reference_hat(signal, xi):
+    """The transform with each box edge converted from its Fraction on every call."""
+    for (lo, hi), coeffs in zip(signal.spectrum_domain.boxes, signal.pieces):
+        if float(lo[0]) <= xi < float(hi[0]):
+            t = xi - float(lo[0])
+            return sum(c * t**m for m, c in enumerate(coeffs))
+    return 0j
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)), min_size=2,
+               max_size=8),
+       st.lists(st.floats(-7, 7, allow_nan=False), min_size=1, max_size=20))
+def test_hat_edges_converted_once_keep_the_bits(cuts, xs):
+    cuts = sorted(cuts)
+    dom = BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
+    signal = BandlimitedSignal(dom, tuple((1.5, -0.25 + 1j, 0.125)[:1 + i % 3]
+                                          for i in range(len(dom.boxes))))
+    points = xs + [float(c) for c in cuts] + [np.float64(x) for x in xs]
+    got = [signal.hat(x) for x in points]
+    expected = [reference_hat(signal, x) for x in points]
+    assert [type(z) for z in got] == [type(z) for z in expected]
+    assert np.array(got, dtype=complex).tobytes() == np.array(expected, dtype=complex).tobytes()
