@@ -85,7 +85,6 @@ from .search import (
     SearchMatch,
     SearchQuery,
     SearchResult,
-    canonical_form,
     enumerate_pairs,
 )
 

@@ -7,7 +7,7 @@ Floating point enters only in ``cis``, which evaluates every phase as an
 integer over a common denominator, reduced mod the denominator *before*
 exponentiation: a root of unity never accumulates error, and the quarter
 phases are exact, so cancellations like 1 + e^{i pi} come out as literal
-zeros.  It evaluates its distinct residues in one numpy pass, with the bits of
+zeros.  It evaluates a table of residues in one numpy pass, with the bits of
 ``math.cos`` and ``math.sin``.  ``mul`` and ``over_2pi_i`` round like Python's
 complex scalars.
 """
@@ -64,12 +64,16 @@ def ratio(nums: np.ndarray, den: int) -> np.ndarray:
 def cis(nums, den: int) -> np.ndarray:
     """e^{2 pi i nums/den} for an integer array ``nums`` of any shape.
 
-    Each numerator is reduced mod ``den`` and the distinct residues u are
-    evaluated in one array pass: cos and sin of 2 pi (u/den), u/den correctly
-    rounded (``ratio``), then exactly 1, i, -1, -i at the quarter phases.
+    Each numerator is reduced mod ``den`` and a table of residues u is evaluated in
+    one array pass: cos and sin of 2 pi (u/den), u/den correctly rounded (``ratio``),
+    then exactly 1, i, -1, -i at the quarter phases.  The table holds every residue
+    when int64 ``nums`` outnumber them (no sort), else only the distinct ones.
     """
     nums = np.asarray(nums)
-    residues, index = np.unique(nums.ravel() % den, return_inverse=True)
+    if nums.dtype == np.int64 and den < nums.size:
+        residues, index = np.arange(den, dtype=np.int64), nums.ravel() % den
+    else:
+        residues, index = np.unique(nums.ravel() % den, return_inverse=True)
     t = 2.0 * math.pi * ratio(residues, den)
     table = np.empty(len(residues), dtype=complex)
     table.real, table.imag = np.cos(t), np.sin(t)

@@ -138,10 +138,12 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
         return []
     _window(spec, radii[0])  # the smallest radius raises as its own Gram matrix would
     gram = build_gram(dom, spec, radii[-1])
-    norms = [max(map(abs, p)) for p in gram.points]
+    d, m = spec.dimension, len(gram)
+    # integer sup norms over one denominator: the points', then the radii's as rows (r, ..., r)
+    norms = np.abs(_numerators([*gram.points, *((r,) * d for r in bounds)], d)[0]).max(axis=1)
     out = []
-    for r in bounds:
-        keep = [i for i, s in enumerate(norms) if s <= r]
+    for r in norms[m:].tolist():
+        keep = np.flatnonzero(norms[:m] <= r)
         eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
         low = float(eigs[0])
         if low < 1e-12:

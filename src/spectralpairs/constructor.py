@@ -160,6 +160,11 @@ def _geometry_checks(base: ContinuousPair, a: FiniteSet, overlap: OverlapError |
     ]
 
 
+def _kind_check(name: str, role: str, kind: PairKind, target: PairKind) -> HypothesisCheck:
+    message = "%s pair is %s, need at least %s" % (role, kind.value, target.value)
+    return HypothesisCheck(name, kind.at_least(target), message)
+
+
 def _combine(
     base: ContinuousPair,
     a: FiniteSet,
@@ -172,22 +177,11 @@ def _combine(
             "base dimension %d != finite set dimension %d"
             % (base.domain.dimension, a.dimension)
         )
-    checks: list[HypothesisCheck] = []
+    checks = [_kind_check("base-kind", "base", base.kind, target)]
 
-    checks.append(
-        HypothesisCheck(
-            "base-kind",
-            base.kind.at_least(target),
-            "base pair is %s, need at least %s" % (base.kind.value, target.value),
-        )
-    )
-
-    if target == PairKind.FRAME:
-        card_ok = len(j) >= len(a)
-        card_msg = "#J = %d, #A = %d (need #J >= #A)" % (len(j), len(a))
-    else:
-        card_ok = len(j) == len(a)
-        card_msg = "#J = %d, #A = %d (need #J = #A)" % (len(j), len(a))
+    frame = target == PairKind.FRAME
+    card_ok = len(j) >= len(a) if frame else len(j) == len(a)
+    card_msg = "#J = %d, #A = %d (need #J %s #A)" % (len(j), len(a), ">=" if frame else "=")
     checks.append(HypothesisCheck("cardinality", card_ok, card_msg))
 
     domain = overlap = None
@@ -200,13 +194,7 @@ def _combine(
     finite = None
     if card_ok:
         finite = classify_finite_pair(a, j, tolerances)
-        checks.append(
-            HypothesisCheck(
-                "finite-kind",
-                finite.kind.at_least(target),
-                "finite pair is %s, need at least %s" % (finite.kind.value, target.value),
-            )
-        )
+        checks.append(_kind_check("finite-kind", "finite", finite.kind, target))
     else:
         checks.append(HypothesisCheck("finite-kind", False, "cardinality precondition failed"))
 

@@ -98,7 +98,7 @@ class FiniteSet:
         return FiniteSet(self.modulus, self.dimension, pts)
 
     def to_json_dict(self) -> dict:
-        return {"N": self.modulus, "d": self.dimension, "points": [list(p) for p in self.points]}
+        return {"N": self.modulus, "d": self.dimension, "points": list(map(list, self.points))}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteSet":
@@ -122,10 +122,10 @@ class FiniteClassification:
     def to_json_dict(self) -> dict:
         cond = self.condition_number
         return {
-            "kind": self.kind.value,
+            "kind": self.kind._value_,  # the plain attribute behind the ``value`` property
             "lower": self.lower,
             "upper": self.upper,
-            "condition": None if cond == float("inf") else cond,
+            "condition": None if cond == np.inf else cond,
         }
 
 

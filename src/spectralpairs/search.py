@@ -1,15 +1,15 @@
 """Enumeration of Riesz/orthogonal finite pairs in Z_N^d at small N.
 
 Translating A or J multiplies the evaluation matrix by a unimodular
-diagonal and so preserves singular values and classification; the
-deduplicated search therefore only visits subsets that contain 0 and are
-lexicographically minimal among their translates containing 0.  Such a
-canonical representative starts with 0, so only subsets holding 0 are
-generated.  Groups with more than 16 elements fall back to seeded random
-sampling, which draws indices and never builds the group.  Both classify
-pairs in fixed-size stacked chunks, an orthogonal query screening each on
-the unitary defect so that only the pairs it passes get an SVD, and build
-``FiniteSet``s only for matches.
+diagonal and so preserves its classification: the deduplicated search
+visits only subsets lexicographically minimal among their translates that
+contain 0, which start with 0, so only subsets holding 0 are generated.
+Groups with more than 16 elements are sampled with a seed instead, drawing
+indices and never building the group.  Pairs go in fixed-size chunks.  A
+pair's evaluation matrix depends on it only through P = J A^T mod N, so a
+chunk classifies one stack of its distinct P, an orthogonal query screening
+it on the unitary defect so that only what passes gets an SVD; matches with
+one P share a ``FiniteClassification``, and only matches get ``FiniteSet``s.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ class SearchQuery:
     samples: int = 2000  # random pairs examined when not exhaustive
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        if self.max_results is not None and self.max_results < 0:
-            raise ValueError("max_results must be non-negative")
+        for name in ("modulus", "dimension"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be a positive integer" % name)
+        for name in ("max_results", "samples"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError("%s must be non-negative" % name)
         if self.cardinality < 1 or self.cardinality > self.modulus**self.dimension:
             raise ValueError(
                 "cardinality %d not in [1, %d]" % (self.cardinality, self.modulus**self.dimension)
@@ -96,12 +96,6 @@ def _canonical(points: np.ndarray, n: int) -> np.ndarray:
     return codes[first, :, None] // place % n
 
 
-def canonical_form(subset, n: int) -> tuple:
-    """Lexicographically minimal translate of the subset that contains 0."""
-    points = int_array([[c % n for c in p] for p in subset], n ** len(subset[0]))
-    return tuple(map(tuple, _canonical(points[None], n)[0].tolist()))
-
-
 def _subsets(n: int, d: int, k: int, dedup: bool) -> np.ndarray:
     """Points (m, k, d) of the k-subsets of Z_n^d in ``itertools.combinations`` order;
     with ``dedup``, of the canonical ones, which all start with 0 and so come first."""
@@ -113,6 +107,17 @@ def _subsets(n: int, d: int, k: int, dedup: bool) -> np.ndarray:
 
 
 _CHUNK_ENTRIES = 1 << 20  # evaluation-matrix entries classified per stacked chunk
+
+
+def _distinct(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One index per distinct row of integers in [0, n), and each row's position among them."""
+    if keys.dtype == np.int64 and n ** keys.shape[1] < 1 << 62:  # sort rows as base-n numbers
+        keys = (keys @ n ** np.arange(keys.shape[1]))[:, None]
+    order = np.lexsort(keys.T)
+    first = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def _exhaustive_chunks(subsets: np.ndarray, size: int):
@@ -168,18 +173,20 @@ def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> Se
             partial = True
             break
         points = int_array(subsets, d * n * n)
-        f = cis(-(points[ij] @ np.swapaxes(points[ia], 1, 2)), n)
-        found = _classify_stacked(f, tolerances, q.target_kind)
-        ranks, lower, upper, condition, hits = (x[: limit - len(matches)] for x in found)
+        phases = (points[ij] @ np.swapaxes(points[ia], 1, 2)) % n  # F = cis(-phases, n)
+        distinct, inverse = _distinct(phases.reshape(len(ia), -1), n)
+        *found, index = _classify_stacked(cis(-phases[distinct], n), tolerances, q.target_kind)
+        hits = np.flatnonzero(np.isin(inverse, index))[: limit - len(matches)]
+        shared, owner = np.unique(inverse[hits], return_inverse=True)
+        columns = (x[np.searchsorted(index, shared)].tolist() for x in found)
+        classes = [FiniteClassification(kinds[r], *bounds) for r, *bounds in zip(*columns)]
         a_rows, j_rows = ia[hits].tolist(), ij[hits].tolist()
         if not exhaustive:
             finite.clear()  # each sampled chunk draws new subsets
         for i in {*a_rows, *j_rows}.difference(finite):
             finite[i] = FiniteSet(n, d, points[i].tolist())
-        columns = (ranks, lower, upper, condition)
-        for a, j, rank, *bounds in zip(a_rows, j_rows, *(c.tolist() for c in columns)):
-            classification = FiniteClassification(kinds[rank], *bounds)
-            matches.append(SearchMatch(finite[a], finite[j], classification))
+        for a, j, c in zip(a_rows, j_rows, owner.tolist()):
+            matches.append(SearchMatch(finite[a], finite[j], classes[c]))
         if len(matches) >= limit:
             examined += int(hits[-1]) + 1
             partial = examined < total

@@ -80,6 +80,19 @@ def reference_bounds(dom, spec, radii):
     return out
 
 
+def fraction_window_bounds(dom, spec, radii):
+    """The window selection that integer sup norms replaced: one Gram matrix at the
+    largest radius, then per radius the points whose ``Fraction`` sup norm is within it."""
+    gram = build_gram(dom, spec, radii[-1])
+    norms = [max(map(abs, p)) for p in gram.points]
+    out = []
+    for r in map(Fraction, radii):
+        keep = [i for i, s in enumerate(norms) if s <= r]
+        eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
+        out.append((0.0 if eigs[0] < 1e-12 else float(eigs[0]), float(eigs[-1])))
+    return out
+
+
 def reference_biorthogonality(dom1, spec, a, j, radius):
     coeff = dual_piece_coefficients(a, j)
     translates = [dom1.translate(p) for p in a.points]
@@ -153,6 +166,28 @@ def test_nested_bounds_equal_per_radius_grams(case, first):
     radii = sorted({first, Fraction(radius)})
     assume(enumerate_spectrum(spec, radii[0]) and len(enumerate_spectrum(spec, radii[-1])) <= 40)
     assert estimate_frame_bounds(dom, spec, radii) == reference_bounds(dom, spec, radii)
+
+
+RADII = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
+    # past 2**62 over one denominator: the sup norms compare as Python ints
+    st.builds(Fraction, st.integers(2**70, 3 * 2**70), st.just(2**70 + 1)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(domain_and_spectrum(), st.lists(RADII, min_size=1, max_size=3), st.data())
+def test_window_selection_equals_fraction_sup_norms(case, radii, data):
+    """Bit for bit, with one radius at a point's sup norm: windows are closed."""
+    dom, spec, _ = case
+    points = enumerate_spectrum(spec, max(radii))
+    assume(0 < len(points) <= 40)
+    radii = sorted({*radii, max(map(abs, data.draw(st.sampled_from(points))))})
+    assume(enumerate_spectrum(spec, radii[0]))
+    got = estimate_frame_bounds(dom, spec, radii)
+    assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
+        (lo.hex(), hi.hex()) for lo, hi in fraction_window_bounds(dom, spec, radii)
+    ]
 
 
 @settings(max_examples=80, deadline=None)

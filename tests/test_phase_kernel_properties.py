@@ -1,6 +1,6 @@
 """Differential tests: the array phase kernel against the scalar phase path.
 
-``_exact.cis`` evaluates its distinct residues in one numpy pass, and
+``_exact.cis`` evaluates a table of residues in one numpy pass, and
 ``build_evaluation_matrix``, ``dual_piece_coefficients`` and
 ``sample_signal`` evaluate every phase through it over whole
 integer arrays.  The references below are the per-entry paths they
@@ -12,6 +12,7 @@ bit for bit, not just to a tolerance.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -83,6 +84,28 @@ def test_quarter_residues_are_exact(m, turns, multiples, dtype):
     quarters = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
     expected = [quarters[q * 4 // turns % 4] for q in multiples]
     assert _exact.cis(nums, den).tobytes() == np.array(expected, dtype=complex).tobytes()
+
+
+@st.composite
+def residue_table_cases(draw):
+    """(nums, den, dtype): den on both sides of the number of numerators, which are
+    negative too, and with a multiple of 4 as den, the quarter residues among them."""
+    den = draw(st.integers(1, 48))
+    nums = draw(st.lists(st.integers(-3 * den - 2**40, 3 * den + 2**40), max_size=96))
+    if den % 4 == 0:
+        nums += [q * den // 4 for q in range(-5, 6)]
+    return nums, den, draw(st.sampled_from([np.int64, object]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_table_cases())
+def test_cis_residue_table_is_bit_identical(case):
+    """int64 numerators that outnumber den index a table of all den residues instead of
+    sorting out the distinct ones; object arrays always sort."""
+    nums, den, dtype = case
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        check_cis(np.array(nums, dtype=dtype), den)
+    assert unique.called == (dtype is object or den >= len(nums))
 
 
 def test_cis_empty_and_zero_dimensional_shapes():

@@ -10,11 +10,11 @@ from spectralpairs import (
     FiniteSet,
     PairKind,
     SearchQuery,
-    canonical_form,
     classify_finite_pair,
     enumerate_pairs,
     hadamard_report,
 )
+from spectralpairs.search import _canonical
 
 
 def brute_force_orthogonal_pairs(n, k):
@@ -29,15 +29,20 @@ def brute_force_orthogonal_pairs(n, k):
     return hits
 
 
+def canonical(subset, n):
+    """The canonical form of one subset of Z_n^d, as the array kernel computes it."""
+    return tuple(map(tuple, _canonical(np.array([subset]), n)[0].tolist()))
+
+
 class TestCanonicalForm:
     def test_contains_zero(self):
-        assert canonical_form(((1,), (3,)), 4) == ((0,), (2,))
+        assert canonical(((1,), (3,)), 4) == ((0,), (2,))
 
     def test_picks_lexicographic_minimum(self):
-        assert canonical_form(((0,), (3,)), 4) == ((0,), (1,))
+        assert canonical(((0,), (3,)), 4) == ((0,), (1,))
 
     def test_already_canonical(self):
-        assert canonical_form(((0,), (1,)), 4) == ((0,), (1,))
+        assert canonical(((0,), (1,)), 4) == ((0,), (1,))
 
 
 class TestEnumeratePairs:
@@ -168,6 +173,12 @@ class TestEnumeratePairs:
     def test_invalid_integers(self, args, limit, message):
         with pytest.raises(ValueError, match=message):
             SearchQuery(*args, max_results=limit)
+
+    def test_negative_samples_are_rejected(self):
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=-5)
+        result = enumerate_pairs(SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=0))
+        assert (result.matches, result.examined, result.partial) == ((), 0, False)
 
 
 class TestHadamardReport:

@@ -1,25 +1,29 @@
 """Differential test: the chunked search against the per-pair search loop.
 
 ``enumerate_pairs`` classifies stacked chunks of pairs with one SVD call
-per chunk and, with deduplication, generates only subsets that start
-with 0.  The reference in ``reference_search`` is the loop it replaced:
-one ``FiniteSet`` pair, evaluation matrix and SVD per pair, and a
-canonical-form filter over every k-subset.  Both must visit the same
-pairs in the same order and report the same floats bit for bit.  The
-array kernel that canonicalises a stack of subsets is checked against the
-scalar ``canonical_form`` kept there too.
+per chunk, one representative per distinct integer phase matrix
+P = J A^T mod N, and, with deduplication, generates only subsets that
+start with 0.  The reference in ``reference_search`` is the loop it
+replaced: one ``FiniteSet`` pair, evaluation matrix, SVD and
+classification per pair, and a canonical-form filter over every k-subset.
+Both must visit the same pairs in the same order and report the same
+floats bit for bit.  The array kernel that canonicalises a stack of
+subsets is checked against the scalar ``canonical_form`` kept there too.
 """
 
 import itertools
+from dataclasses import replace
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_search import canonical_form as reference_canonical_form
 from reference_search import enumerate_pairs as reference_enumerate_pairs
 
-from spectralpairs import PairKind, SearchQuery, canonical_form, enumerate_pairs
+from spectralpairs import PairKind, SearchQuery, enumerate_pairs, search
+from spectralpairs.finite_pairs import _classify_stacked
 from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT, _canonical
 
 MAX_REFERENCE_SUBSETS = 60  # keeps the reference loop under ~3,600 pairs
@@ -73,6 +77,66 @@ def test_chunked_search_matches_per_pair_loop(q):
     assert _summary(enumerate_pairs(q)) == _summary(reference_enumerate_pairs(q))
 
 
+def phases(match):
+    """The integer matrix P = J A^T mod N on which the evaluation matrix of a match depends."""
+    j, a = np.array(match.j.points), np.array(match.a.points)
+    return tuple((j @ a.T % match.a.modulus).ravel().tolist())
+
+
+GROUPED = [
+    SearchQuery(4, 2, 3, PairKind.RIESZ_BASIS),  # 1,225 pairs, 202 distinct P
+    SearchQuery(4, 2, 3, PairKind.ORTHOGONAL_BASIS),
+    SearchQuery(3, 2, 3, PairKind.RIESZ_BASIS),
+    SearchQuery(3, 2, 3, PairKind.ORTHOGONAL_BASIS),
+    SearchQuery(4, 1, 2, PairKind.RIESZ_BASIS, dedup_translates=False),
+    SearchQuery(4, 1, 2, PairKind.ORTHOGONAL_BASIS, dedup_translates=False),
+    SearchQuery(4, 2, 3, PairKind.RIESZ_BASIS, max_results=9),
+    SearchQuery(4, 1, 2, PairKind.RIESZ_BASIS, dedup_translates=False, max_results=7),
+    SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=7, samples=300),
+    SearchQuery(40, 2, 2, PairKind.ORTHOGONAL_BASIS, seed=8, samples=300),
+]
+
+
+@pytest.mark.parametrize("q", GROUPED)
+def test_grouped_search_matches_per_pair_loop(q):
+    """Matches, order, kinds, float bits (``float.hex``), ``examined`` and ``partial`` as
+    the per-pair loop reports them."""
+    assert _summary(enumerate_pairs(q)) == _summary(reference_enumerate_pairs(q))
+
+
+@pytest.mark.parametrize("q", [q for q in GROUPED if q.max_results])
+def test_max_results_cut_falls_inside_a_run_of_one_matrix(q):
+    """The cut separates two consecutive matches with the same P, so one distinct matrix
+    has matches on both sides of it."""
+    full = enumerate_pairs(replace(q, max_results=None))
+    cut = q.max_results
+    assert phases(full.matches[cut - 1]) == phases(full.matches[cut])
+    assert enumerate_pairs(q).matches == full.matches[:cut]
+
+
+def test_each_stack_holds_distinct_matrices(monkeypatch):
+    stacks = []
+
+    def spy(f, *args):
+        assert len({m.tobytes() for m in f}) == len(f)
+        stacks.append(len(f))
+        return _classify_stacked(f, *args)
+
+    monkeypatch.setattr(search, "_classify_stacked", spy)
+    examined = sum(enumerate_pairs(q).examined for q in GROUPED)
+    assert 0 < sum(stacks) < examined
+
+
+@pytest.mark.parametrize("q", GROUPED)
+def test_matches_with_one_matrix_share_one_classification(q):
+    result = enumerate_pairs(q)
+    owners = {}
+    for m in result.matches:
+        owners.setdefault(phases(m), set()).add(id(m.classification))
+    assert all(len(ids) == 1 for ids in owners.values())
+    assert len(set().union(*owners.values())) == len(owners)  # one object per distinct P
+
+
 @st.composite
 def subset_stacks(draw):
     """(n, d, subsets): a few k-subsets of Z_n^d as element codes, in no particular order."""
@@ -93,4 +157,3 @@ def test_canonical_kernel_matches_scalar_reference(case):
     points = [[elements[c] for c in s] for s in subsets]
     want = [reference_canonical_form(s, n) for s in points]
     assert [tuple(map(tuple, s)) for s in _canonical(np.array(points), n).tolist()] == want
-    assert [canonical_form(s, n) for s in points] == want
