@@ -66,7 +66,7 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
         factors[:, zero] = _exact.ratio(corners[1::2] - corners[0::2], den)[:, None]
         tables.append((factors, index.reshape(n, m)))
     total = np.zeros((n, m), dtype=complex)
-    for b in range(len(dom.boxes)):
+    for b in range(len(dom._corners) // 2):
         term = np.ones((n, m), dtype=complex)
         for factors, index in tables:
             term = _exact.mul(term, factors[b][index])

@@ -100,8 +100,8 @@ def _finite_set(modulus: int | None, points, flag: str) -> FiniteSet:
 
 
 def _parse_json(path: str, parse):
-    """parse(data) for the JSON in path; malformed JSON, a missing key or a
-    value of the wrong shape is malformed input, not a crash."""
+    """parse(data) for the JSON in path; malformed JSON, a missing key, a value
+    of the wrong shape or a zero denominator is malformed input, not a crash."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -114,7 +114,7 @@ def _parse_json(path: str, parse):
         return parse(data)
     except KeyError as exc:
         raise InputError("malformed input in %s: missing key %s" % (path, exc)) from None
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ZeroDivisionError) as exc:
         raise InputError("malformed input in %s: %s" % (path, exc)) from None
 
 

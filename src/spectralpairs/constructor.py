@@ -18,14 +18,15 @@ numerically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .domains import (
     BoxDomain,
     Spectrum,
+    _scaled,
     _translates,
     minkowski_translate,
     root_of_unity_condition,
@@ -251,29 +252,30 @@ def combine_orthogonal(
     return _combine(base, a, j, PairKind.ORTHOGONAL_BASIS, tolerances)
 
 
+def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every x[i] joined with every y[k] along the last axis, i-major."""
+    reps = (len(x),) + (1,) * (y.ndim - 1)
+    return np.concatenate([np.repeat(x, len(y), axis=0), np.tile(y, reps)], axis=-1)
+
+
 def cartesian_product(p1: ContinuousPair, p2: ContinuousPair) -> ContinuousPair:
-    """Product of two orthogonal pairs: product domain, product spectrum."""
+    """Product of two orthogonal pairs, written from their integer forms over the lcm of
+    the denominators (still least): the boxes and the shifts are the pairs, first-major, so
+    the union stays disjoint, and the generators are block-diagonal."""
     for p in (p1, p2):
         if p.kind != PairKind.ORTHOGONAL_BASIS:
             raise UnsupportedPairError(
                 "cartesian products are only taken of orthogonal pairs, got %s" % p.kind.value
             )
-    d1, d2 = p1.domain.dimension, p2.domain.dimension
-    boxes = tuple(
-        (lo1 + lo2, hi1 + hi2)
-        for (lo1, hi1) in p1.domain.boxes
-        for (lo2, hi2) in p2.domain.boxes
-    )
-    domain = BoxDomain(d1 + d2, boxes)
-    zero1 = tuple(Fraction(0) for _ in range(d1))
-    zero2 = tuple(Fraction(0) for _ in range(d2))
-    basis = tuple(g + zero2 for g in p1.spectrum.basis) + tuple(
-        zero1 + g for g in p2.spectrum.basis
-    )
-    shifts = tuple(
-        s1 + s2 for s1, s2 in itertools.product(p1.spectrum.shifts, p2.spectrum.shifts)
-    )
-    spectrum = Spectrum(d1 + d2, basis, shifts)
+    (x, y), (s, t) = (p1.domain, p2.domain), (p1.spectrum, p2.spectrum)
+    (d, e), den = (x.dimension, y.dimension), math.lcm(x._den, y._den)
+    a, b = (_scaled(z._corners, z._den, den).reshape(-1, 2, z.dimension) for z in (x, y))
+    domain = object.__new__(BoxDomain)._validate(_joined(a, b).reshape(-1, d + e), den, True)
+    den = math.lcm(s._den, t._den)
+    u, v = (_scaled(z._nums, z._den, den) for z in (s, t))
+    basis = np.block([[u[:d], np.zeros((d, e), u.dtype)], [np.zeros((e, d), v.dtype), v[:e]]])
+    shifts = _joined(u[d:], v[e:])
+    spectrum = object.__new__(Spectrum)._validate(np.concatenate([basis, shifts]), den)
     return ContinuousPair.orthogonal(domain, spectrum)
 
 

@@ -4,17 +4,18 @@ Disjointness of translated copies and the root-of-unity condition are
 yes/no facts that must be certified, not approximated.  Corners, lattice
 generators and shifts are ``Fraction``s at the API (constructors, the
 ``boxes``/``basis``/``shifts`` tuples, JSON, returned points).  Each domain
-and spectrum carries its integer form from validation on: the numerators
-over their least common denominator D > 0, where every decision is exact,
-and the library's builders hand theirs straight to the validation.  Boxes
-are half-open, so touching translates ([0,1) and [1,2)) are disjoint.
+and spectrum carries only its integer form from validation on: the
+numerators over their least common denominator D > 0, where every decision
+is exact, and the library's builders hand theirs straight to the validation.
+The ``Fraction`` tuples are built from it on first read and then kept.
+Boxes are half-open, so touching translates ([0,1) and [1,2)) are disjoint.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -52,12 +53,13 @@ def _lowest(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return nums // g, den // g
 
 
-def _fractions(rows, den: int, text: bool = False) -> list[tuple]:
+def _fractions(nums: np.ndarray, den: int, text: bool = False) -> list[tuple]:
     """Integer rows over ``den`` as Fraction (or string) tuples, each distinct
-    numerator converted once."""
-    values = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows))}
-    values = {n: str(v) for n, v in values.items()} if text else values
-    return [tuple(map(values.__getitem__, row)) for row in rows]
+    numerator converted once and gathered through one table."""
+    values, index = np.unique(nums.ravel(), return_inverse=True)
+    values = [Fraction(n, den) for n in values.tolist()]
+    table = np.array(list(map(str, values)) if text else values, dtype=object)
+    return list(map(tuple, table[index.reshape(nums.shape)].tolist()))
 
 
 def _overlaps(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
@@ -91,14 +93,14 @@ class BoxDomain:
     def _validate(self, corners: np.ndarray, den: int, disjoint: bool = False) -> "BoxDomain":
         """Every check of a domain, on integer corner rows (lower, upper, ...) over their least
         common denominator: at least one box, none empty, none overlapping (unless the caller
-        has found them ``disjoint``).  The domain then carries them and reads its dimension and
-        boxes from them, so builders skip coercion."""
+        has found them ``disjoint``).  The domain then carries them, and only them: its dimension
+        and boxes are read from them, so builders skip coercion."""
         if not len(corners):
             raise ValueError("a domain needs at least one box")
         lo, hi = corners[0::2], corners[1::2]
 
         def box(i):
-            return tuple(_fractions(corners[2 * i:2 * i + 2].tolist(), den))
+            return tuple(_fractions(corners[2 * i:2 * i + 2], den))
 
         empty = np.flatnonzero(~np.all(lo < hi, axis=1))
         if len(empty):
@@ -110,21 +112,23 @@ class BoxDomain:
                 "boxes %d and %d intersect with positive measure" % (i, k),
                 offending=(box(i), box(k)),
             )
-        rows = _fractions(corners.tolist(), den)
-        object.__setattr__(self, "dimension", corners.shape[1])
-        object.__setattr__(self, "boxes", tuple(zip(rows[0::2], rows[1::2])))
-        object.__setattr__(self, "_corners", corners)
-        object.__setattr__(self, "_den", den)
+        vars(self).clear()  # given boxes too: the view is rebuilt, normalised, on first read
+        vars(self).update(dimension=corners.shape[1], _corners=corners, _den=den)
         return self
+
+    def __getattr__(self, name):
+        """``boxes``, built from the carried corners on first read and then kept."""
+        if name != "boxes":  # reading _corners raises too while it is missing
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        rows = _fractions(self._corners, self._den)
+        vars(self)["boxes"] = tuple(zip(rows[0::2], rows[1::2]))
+        return self.boxes
 
     @classmethod
     def from_boxes(cls, boxes) -> "BoxDomain":
         """Build from [(lo, hi), ...] with scalar or sequence corners."""
-        first_lo = boxes[0][0]
-        if isinstance(first_lo, (int, float, Fraction, str)):
-            dimension = 1
-        else:
-            dimension = len(first_lo)
+        first_lo = boxes[0][0] if len(boxes) else 0
+        dimension = 1 if isinstance(first_lo, (int, float, Fraction, str)) else len(first_lo)
         return cls(dimension, tuple((lo, hi) for lo, hi in boxes))
 
     @classmethod
@@ -146,7 +150,7 @@ class BoxDomain:
     def intersection_measure(self, other: "BoxDomain") -> Fraction:
         """|self & other|: over one denominator D, the integer sum of the
         products of the side overlaps of every box pair, divided by D^d."""
-        n, d = len(self.boxes), self.dimension
+        n, d = len(self._corners) // 2, self.dimension
         den = math.lcm(self._den, other._den)
         corners = np.concatenate([_scaled(x._corners, x._den, den) for x in (self, other)])
         corners = int_array(corners, len(corners) ** 2 * (2 * _top(corners) + 1) ** d)
@@ -162,7 +166,7 @@ class BoxDomain:
         return bool(np.any(np.all((corners[0::2] <= p) & (p < corners[1::2]), axis=1)))
 
     def to_json_dict(self) -> dict:
-        rows = _fractions(self._corners.tolist(), self._den, text=True)
+        rows = _fractions(self._corners, self._den, text=True)
         boxes = [{"lo": list(lo), "hi": list(hi)} for lo, hi in zip(rows[0::2], rows[1::2])]
         return {"d": self.dimension, "boxes": boxes}
 
@@ -177,9 +181,7 @@ class BoxDomain:
 
 def unit_box(dimension: int) -> BoxDomain:
     """The half-open unit cube [0,1)^d."""
-    zero = tuple(Fraction(0) for _ in range(dimension))
-    one = tuple(Fraction(1) for _ in range(dimension))
-    return BoxDomain(dimension, ((zero, one),))
+    return BoxDomain(dimension, (((0,) * dimension, (1,) * dimension),))
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ class Spectrum:
 
     dimension: int
     basis: tuple[Vec, ...]  # generator vectors (columns of B)
-    shifts: tuple[Vec, ...] = ()
+    shifts: tuple[Vec, ...] = field(default_factory=tuple)  # no class default to shadow the view
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -208,26 +210,30 @@ class Spectrum:
     def _validate(self, nums: np.ndarray, den: int) -> "Spectrum":
         """Every check of a spectrum, on integer generator rows, then shift rows, over ``den``:
         independent generators, and shifts distinct modulo the lattice.  The spectrum then
-        carries the generators and reduced shifts over their least common denominator."""
+        carries only the generators and reduced shifts over their least common denominator."""
         d = nums.shape[1]
         nums = np.concatenate([nums, np.zeros_like(nums[:1])]) if len(nums) == d else nums
         reps, det = _reduce(nums[:d], nums[d:])
         seen = {}
         for i, row in enumerate(map(tuple, reps.tolist())):
             if seen.setdefault(row, i) != i:
-                pair = tuple(_fractions(nums[[d + seen[row], d + i]].tolist(), den))
+                pair = tuple(_fractions(nums[[d + seen[row], d + i]], den))
                 raise DuplicateSpectrumError("shifts %s and %s coincide modulo the lattice" % pair)
         nums, den = _lowest(np.concatenate([_scaled(nums[:d], den, det * den), reps]), det * den)
-        rows = _fractions(nums.tolist(), den)
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "basis", tuple(rows[:d]))
-        object.__setattr__(self, "shifts", tuple(rows[d:]))
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
+        vars(self).clear()  # given basis and shifts too: rebuilt, normalised, on first read
+        vars(self).update(dimension=d, _nums=nums, _den=den)
         return self
 
+    def __getattr__(self, name):
+        """``basis`` and ``shifts``, built from the carried rows on first read and then kept."""
+        if name not in ("basis", "shifts"):
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        rows = _fractions(self._nums, self._den)
+        vars(self).update(basis=tuple(rows[:self.dimension]), shifts=tuple(rows[self.dimension:]))
+        return vars(self)[name]
+
     def to_json_dict(self) -> dict:
-        rows = [list(row) for row in _fractions(self._nums.tolist(), self._den, text=True)]
+        rows = [list(row) for row in _fractions(self._nums, self._den, text=True)]
         return {"basis": rows[:self.dimension], "shifts": rows[self.dimension:]}
 
     @classmethod
@@ -268,10 +274,7 @@ def integer_lattice(dimension: int) -> Spectrum:
 def scaled_lattice(dimension: int, scale) -> Spectrum:
     """(scale Z)^d, e.g. scale=1/2 for the half-integer lattice."""
     s = Fraction(scale)
-    basis = tuple(
-        tuple(s if i == k else Fraction(0) for k in range(dimension))
-        for i in range(dimension)
-    )
+    basis = tuple(tuple(s * (i == k) for k in range(dimension)) for i in range(dimension))
     return Spectrum(dimension, basis)
 
 
@@ -349,7 +352,8 @@ def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
     steps = int_array(grid.reshape(-1, d), bound) @ int_array(g, bound)
     points = (int_array(start, bound)[:, None, :] + steps[None, :, :]).reshape(-1, d)
     inside = np.all(np.abs(points) * rd <= rn * den, axis=1)
-    return _fractions(sorted(set(map(tuple, points[inside].tolist()))), den)
+    points = points[inside]  # distinct: shifts differ mod the lattice, generators are independent
+    return _fractions(points[np.lexsort(points.T[::-1])], den)
 
 
 def root_of_unity_condition(s: Spectrum, a: FiniteSet) -> bool:

@@ -110,9 +110,13 @@ _CHUNK_ENTRIES = 1 << 20  # evaluation-matrix entries classified per stacked chu
 
 
 def _distinct(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One index per distinct row of integers in [0, n), and each row's position among them."""
-    if keys.dtype == np.int64 and n ** keys.shape[1] < 1 << 62:  # sort rows as base-n numbers
-        keys = (keys @ n ** np.arange(keys.shape[1]))[:, None]
+    """One index per distinct row of integers in [0, n), and each row's position among them.
+    Rows sort as base-n numbers, packed into the fewest int64 words, each below 2**62."""
+    digits = np.arange(keys.shape[1])
+    w = max([1] + [e for e in range(1, len(digits) + 1) if n**e < 1 << 62])  # digits per word
+    place = np.zeros((len(digits), -(-len(digits) // w)), dtype=np.int64)  # digit -> word
+    place[digits, digits // w] = n ** (digits % w)
+    keys = keys @ place
     order = np.lexsort(keys.T)
     first = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
     inverse = np.empty_like(order)

@@ -13,6 +13,14 @@ def read_json(path):
         return json.load(fh)
 
 
+# a pair whose domain has an upper corner 1/0
+ZERO_DENOMINATOR = {
+    "domain": {"d": 1, "boxes": [{"lo": ["0"], "hi": ["1/0"]}]},
+    "spectrum": {"basis": [["1"]], "shifts": [["0"]]},
+    "kind": "orthogonal-basis", "lower": 1.0, "upper": 1.0,
+}
+
+
 class TestClassify:
     def test_unitary_example(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -115,15 +123,20 @@ class TestInputHandling:
             (["gram", "--pair"], [1, 2], "list indices"),
             (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"], [1, 2],
              "list indices"),
+            (["gram", "--pair"], ZERO_DENOMINATOR, "Fraction(1, 0)"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"], ZERO_DENOMINATOR,
+             "Fraction(1, 0)"),
         ],
-        ids=["missing-boxes", "missing-J", "pair-is-list", "base-is-list"],
+        ids=["missing-boxes", "missing-J", "pair-is-list", "base-is-list",
+             "pair-zero-denominator", "base-zero-denominator"],
     )
     def test_wrongly_shaped_json_is_input_error(self, tmp_path, capsys, argv, payload, named):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
         assert run(argv + [str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and str(path) in err and named in err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert str(path) in err and named in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -33,6 +33,11 @@ class TestBoxDomain:
         dom = BoxDomain.from_boxes([("1/3", "2/3")])
         assert dom.measure == Fraction(1, 3)
 
+    def test_no_boxes_rejected(self):
+        for make in (lambda: BoxDomain(1, ()), lambda: BoxDomain.from_boxes([])):
+            with pytest.raises(ValueError, match="a domain needs at least one box"):
+                make()
+
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             BoxDomain.from_boxes([(1, 1)])
@@ -329,8 +334,6 @@ def round_trips(package: Path) -> list[str]:
 
 
 def test_own_fields_are_coerced_only_at_construction():
-    # builders and readers use the carried integer form; cartesian_product still
-    # builds its product through the public constructors
+    # builders and readers, cartesian_product included, use the carried integer form
     package = Path(__file__).resolve().parents[1] / "src" / "spectralpairs"
-    offenders = [o for o in round_trips(package) if not o.endswith(" cartesian_product")]
-    assert offenders == []
+    assert round_trips(package) == []

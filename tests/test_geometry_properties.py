@@ -5,9 +5,9 @@
 integer numerators over one denominator.  The references in
 ``rational_geometry`` are the Fraction functions they replaced.  Results,
 their order and the text of every error must be the same.  The builders
-``minkowski_translate``, ``BoxDomain.translate`` and ``shift_spectrum``
-skip the constructors' coercion; what they build must equal a rebuild
-through the public constructors from Fractions.  Each check also has one
+``minkowski_translate``, ``BoxDomain.translate``, ``shift_spectrum`` and
+``cartesian_product`` skip the constructors' coercion; what they build must
+equal a rebuild through the public constructors from Fractions.  Each check also has one
 pinned case with integers past 2**62, which takes the Python-int path of
 ``_exact.int_array``.
 """
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from spectralpairs import (
     BoxDomain,
+    ContinuousPair,
     DuplicateSpectrumError,
     FiniteSet,
     NonInvertibleError,
@@ -29,6 +30,7 @@ from spectralpairs import (
     SamplePattern,
     Spectrum,
     UnsupportedPairError,
+    cartesian_product,
     enumerate_spectrum,
     integer_lattice,
     minkowski_translate,
@@ -316,3 +318,36 @@ def _pinned_past_2_62():
            FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(2, [0, 1])], (Fraction(1, 2),)))
 def test_builders_match_the_fraction_constructors(case):
     check_builders(*case)
+
+
+def fraction_product(p1, p2):
+    """``cartesian_product`` through the public constructors, as it was built before it
+    wrote the integer forms itself."""
+    d1, d2 = p1.domain.dimension, p2.domain.dimension
+    boxes = tuple((lo1 + lo2, hi1 + hi2) for (lo1, hi1) in p1.domain.boxes
+                  for (lo2, hi2) in p2.domain.boxes)
+    zero1, zero2 = (Fraction(0),) * d1, (Fraction(0),) * d2
+    basis = tuple(g + zero2 for g in p1.spectrum.basis)
+    basis += tuple(zero1 + g for g in p2.spectrum.basis)
+    shifts = tuple(s1 + s2 for s1, s2 in itertools.product(p1.spectrum.shifts, p2.spectrum.shifts))
+    return BoxDomain(d1 + d2, boxes), Spectrum(d1 + d2, basis, shifts)
+
+
+def _pinned_product_past_2_62():
+    dom, spec, _, _ = _pinned_past_2_62()
+    other = BoxDomain(1, (((Fraction(-1, BIG),), (0,)), ((1,), (Fraction(BIG, 3),))))
+    return dom, spec, other, Spectrum(1, ((Fraction(2, BIG),),), ((0,), (Fraction(1, BIG),)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+    lambda ds: st.tuples(domains(ds[0]), spectra(ds[0]), domains(ds[1]), spectra(ds[1]))))
+@example(_pinned_product_past_2_62())
+def test_cartesian_product_matches_the_fraction_constructors(case):
+    dom1, spec1, dom2, spec2 = case
+    p1, p2 = ContinuousPair.orthogonal(dom1, spec1), ContinuousPair.orthogonal(dom2, spec2)
+    product, (domain, spectrum) = cartesian_product(p1, p2), fraction_product(p1, p2)
+    assert built(lambda: product.domain) == built(lambda: domain)
+    assert built(lambda: product.spectrum) == built(lambda: spectrum)
+    assert (product.domain.boxes, product.spectrum.basis, product.spectrum.shifts) == (
+        domain.boxes, spectrum.basis, spectrum.shifts)

@@ -157,3 +157,44 @@ def test_canonical_kernel_matches_scalar_reference(case):
     points = [[elements[c] for c in s] for s in subsets]
     want = [reference_canonical_form(s, n) for s in points]
     assert [tuple(map(tuple, s)) for s in _canonical(np.array(points), n).tolist()] == want
+
+
+def column_grouping(keys):
+    """The grouping ``_distinct`` used when a row did not fit one int64: a lexsort over
+    every column."""
+    order = np.lexsort(keys.T)
+    first = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
+@st.composite
+def phase_rows(draw):
+    """Rows of k*k digits in [0, n), drawn from a few distinct ones so that rows repeat."""
+    n, k = draw(st.integers(1, 64)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k * k, max_size=k * k),
+                         min_size=1, max_size=6))
+    return n, np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_rows())
+@example((16, np.array([[15] * 16, [0] * 15 + [1], [1] + [0] * 15, [15] * 16])))
+@example((64, np.array([[63] * 25, [63] * 24 + [62], [63] * 25])))
+@example((2**40, np.array([[2**40 - 1, 5], [0, 1], [2**40 - 1, 5]], dtype=object)))
+def test_packed_grouping_matches_column_lexsort(case):
+    n, keys = case
+    got, want = search._distinct(keys, n), column_grouping(keys)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_packed_grouping_of_z16_k4_phases():
+    """The 13,456 phase rows of Z_16 at k = 4, two int64 words each, group as before."""
+    points = search._subsets(16, 1, 4, True)
+    pairs = np.array(list(itertools.product(range(len(points)), repeat=2)))
+    phases = (points[pairs[:, 1]] @ np.swapaxes(points[pairs[:, 0]], 1, 2)) % 16
+    keys = phases.reshape(len(pairs), -1)
+    got, want = search._distinct(keys, 16), column_grouping(keys)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(got[0]) < len(keys)
