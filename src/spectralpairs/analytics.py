@@ -33,8 +33,8 @@ from .domains import (BoxDomain, Spectrum, _numerators, _reduce, _scaled, _top, 
                       enumerate_spectrum, shift_spectrum)
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
+    TOLERANCES,
     FiniteSet,
-    Tolerances,
     _checked_inverse,
     _piece_coefficients,
     build_evaluation_matrix,
@@ -126,7 +126,8 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
 
     For a Riesz basis these sit inside the true Riesz bounds at every
     truncation and converge to them; for non-orthogonal pairs they are
-    estimates, not certificates.  Eigenvalues below 1e-12 report as 0.
+    estimates, not certificates.  A least eigenvalue below
+    ``TOLERANCES.eigenvalue_floor`` (1e-12) reports as 0.
     The windows are nested, so one Gram matrix at the largest radius
     serves all of them through its principal submatrices.
     """
@@ -146,7 +147,7 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
         keep = np.flatnonzero(norms[:m] <= r)
         eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
         low = float(eigs[0])
-        if low < 1e-12:
+        if low < TOLERANCES.eigenvalue_floor:
             low = 0.0
         out.append((low, float(eigs[-1])))
     return out
@@ -181,7 +182,7 @@ class DualBasis:
 
     @property
     def is_self_dual(self) -> bool:
-        return bool(np.abs(self.piece_coefficients - 1.0).max() < Tolerances().unitary)
+        return bool(np.abs(self.piece_coefficients - 1.0).max() < TOLERANCES.unitary)
 
     def to_json_dict(self) -> dict:
         return {

@@ -43,7 +43,7 @@ from .domains import (
     unit_box,
 )
 from .errors import InputError, SpectralPairError
-from .finite_pairs import FiniteSet, PairKind, Tolerances, build_evaluation_matrix, classify_finite_pair
+from .finite_pairs import FiniteSet, PairKind, build_evaluation_matrix, classify_finite_pair
 from .sampling import (
     BandlimitedSignal,
     SamplePattern,
@@ -148,14 +148,6 @@ def _writable(path: str) -> str:
     return path
 
 
-def _tolerances(tol: float | None) -> Tolerances:
-    if tol is None:
-        return Tolerances()
-    if not 0 < tol < 1e-3:
-        raise InputError("--tol must lie strictly between 0 and 1e-3")
-    return Tolerances(unitary=tol, frame_lower=tol)
-
-
 def _base_pair(path: str | None, dimension: int) -> ContinuousPair:
     """The base pair in the JSON file path; by default the unit cube [0,1)^d with Z^d."""
     if path:
@@ -192,7 +184,7 @@ def _combined_pair(ns) -> ContinuousPair:
 
 def _cmd_classify(ns) -> int:
     a, j = _finite_pair(ns)
-    classification = classify_finite_pair(a, j, _tolerances(ns.tol))
+    classification = classify_finite_pair(a, j)
     matrix = build_evaluation_matrix(a, j)
     report = {
         "A": a.to_json_dict(),
@@ -207,7 +199,7 @@ def _cmd_classify(ns) -> int:
 def _cmd_construct(ns) -> int:
     a, j = _finite_pair(ns)
     base = _base_pair(ns.base, a.dimension)
-    result: CombinedPairResult = _COMBINERS[ns.kind](base, a, j, _tolerances(ns.tol))
+    result: CombinedPairResult = _COMBINERS[ns.kind](base, a, j)
     _emit_json(result.to_json_dict(), ns.out)
     if not result.ok:
         for check in result.failed_checks():
@@ -321,7 +313,7 @@ def _cmd_search(ns) -> int:
         dedup_translates=not ns.no_dedup,
         seed=ns.seed,
     )
-    result = enumerate_pairs(query, _tolerances(ns.tol))
+    result = enumerate_pairs(query)
     lines = [json.dumps(m.to_json_dict()) for m in result.matches]
     meta = {"exhaustive": result.exhaustive, "partial": result.partial,
             "examined": result.examined, "seed": result.seed}
@@ -382,7 +374,6 @@ _SHARED = {
     "--finite": dict(help="JSON file with {'A': ..., 'J': ...}"),
     "--base": dict(help="base pair JSON (default: unit cube with Z^d)"),
     "--pair": dict(help="combined pair JSON"),
-    "--tol": dict(type=float),
     "--out": dict(type=_writable, help="report path (default stdout)"),
 }
 _FINITE = ("--N", "--A", "--J", "--finite")
@@ -390,11 +381,11 @@ _FINITE = ("--N", "--A", "--J", "--finite")
 # subcommand -> (handler, help, the shared flags it takes, its own flags)
 _COMMANDS = {
     "classify": (
-        _cmd_classify, "classify a finite pair in Z_N^d", _FINITE + ("--tol", "--out"), {}
+        _cmd_classify, "classify a finite pair in Z_N^d", _FINITE + ("--out",), {}
     ),
     "construct": (
         _cmd_construct, "combine a base pair with a finite pair",
-        _FINITE + ("--base", "--tol", "--out"),
+        _FINITE + ("--base", "--out"),
         {"--kind": dict(choices=sorted(_COMBINERS), default="orthogonal")},
     ),
     "gram": (
@@ -427,7 +418,7 @@ _COMMANDS = {
         },
     ),
     "search": (
-        _cmd_search, "enumerate Riesz/orthogonal pairs in Z_N^d", ("--tol", "--out"),
+        _cmd_search, "enumerate Riesz/orthogonal pairs in Z_N^d", ("--out",),
         {
             "--N": dict(_SHARED["--N"], required=True),
             "--d": dict(type=int, default=1),

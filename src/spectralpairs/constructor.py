@@ -42,7 +42,6 @@ from .finite_pairs import (
     FiniteClassification,
     FiniteSet,
     PairKind,
-    Tolerances,
     classify_finite_pair,
 )
 
@@ -171,7 +170,6 @@ def _combine(
     a: FiniteSet,
     j: FiniteSet,
     target: PairKind,
-    tolerances: Tolerances,
 ) -> CombinedPairResult:
     if base.domain.dimension != a.dimension:
         raise DimensionMismatchError(
@@ -194,7 +192,7 @@ def _combine(
 
     finite = None
     if card_ok:
-        finite = classify_finite_pair(a, j, tolerances)
+        finite = classify_finite_pair(a, j)
         checks.append(_kind_check("finite-kind", "finite", finite.kind, target))
     else:
         checks.append(HypothesisCheck("finite-kind", False, "cardinality precondition failed"))
@@ -222,34 +220,19 @@ def _combine(
     return CombinedPairResult(pair, predicted_lower, predicted_upper, tuple(checks), finite)
 
 
-def combine_frame(
-    base: ContinuousPair,
-    a: FiniteSet,
-    j: FiniteSet,
-    tolerances: Tolerances = Tolerances(),
-) -> CombinedPairResult:
+def combine_frame(base: ContinuousPair, a: FiniteSet, j: FiniteSet) -> CombinedPairResult:
     """Frame + frame -> frame, constants (alpha c, beta C)."""
-    return _combine(base, a, j, PairKind.FRAME, tolerances)
+    return _combine(base, a, j, PairKind.FRAME)
 
 
-def combine_riesz(
-    base: ContinuousPair,
-    a: FiniteSet,
-    j: FiniteSet,
-    tolerances: Tolerances = Tolerances(),
-) -> CombinedPairResult:
+def combine_riesz(base: ContinuousPair, a: FiniteSet, j: FiniteSet) -> CombinedPairResult:
     """Riesz basis + invertible square finite pair -> Riesz basis."""
-    return _combine(base, a, j, PairKind.RIESZ_BASIS, tolerances)
+    return _combine(base, a, j, PairKind.RIESZ_BASIS)
 
 
-def combine_orthogonal(
-    base: ContinuousPair,
-    a: FiniteSet,
-    j: FiniteSet,
-    tolerances: Tolerances = Tolerances(),
-) -> CombinedPairResult:
+def combine_orthogonal(base: ContinuousPair, a: FiniteSet, j: FiniteSet) -> CombinedPairResult:
     """Orthogonal basis + orthogonal finite pair -> orthogonal basis."""
-    return _combine(base, a, j, PairKind.ORTHOGONAL_BASIS, tolerances)
+    return _combine(base, a, j, PairKind.ORTHOGONAL_BASIS)
 
 
 def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -46,15 +46,19 @@ _KINDS = tuple(PairKind)  # in rank order: none, frame, riesz-basis, orthogonal-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds for classification decisions.
+    """The float thresholds of every decision; ``TOLERANCES`` is the one instance read.
 
     Entries of the evaluation matrix are exact roots of unity, so the
     unitarity defect is pure floating evaluation; 1e-10 is generous.
     """
 
-    unitary: float = 1e-10
-    condition_cap: float = 1e12
-    frame_lower: float = 1e-10
+    unitary: float = 1e-10  # unitary defects, piece-coefficient defects, symbol zeros
+    condition_cap: float = 1e12  # a square matrix of smaller condition number is a Riesz basis
+    frame_lower: float = 1e-10  # sigma_min^2 above it is a frame
+    eigenvalue_floor: float = 1e-12  # Gram eigenvalues below it report as 0
+
+
+TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
     """F^{-1} for a square evaluation matrix that the classification rule calls a Riesz basis."""
     if f.shape[0] != f.shape[1]:
         raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
-    if _classify_stacked(f[None], Tolerances())[0][0] < PairKind.RIESZ_BASIS.rank:
+    if _classify_stacked(f[None])[0][0] < PairKind.RIESZ_BASIS.rank:
         raise NonInvertibleError("evaluation matrix is singular or ill-conditioned")
     return np.linalg.inv(f)
 
@@ -169,30 +173,28 @@ def _unitary_defect(f: np.ndarray) -> np.ndarray:
     return np.abs(gram - f.shape[-2] * np.eye(f.shape[-1])).max(axis=(-2, -1))
 
 
-def _classify_stacked(f: np.ndarray, tolerances: Tolerances, least: PairKind = PairKind.NONE):
+def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     """Kind ranks (indices into _KINDS), lower and upper frame constants, condition numbers
     and stack indices of the matrices of kind at least ``least`` in a stack f of shape
     (m, #J, #A), #J >= #A.  Orthogonality rests on the unitary defect alone, so for an
     orthogonal ``least`` only the square matrices that the defect passes get an SVD."""
     square, index = f.shape[1] == f.shape[2], np.arange(len(f))
     if square and least is PairKind.ORTHOGONAL_BASIS:
-        index = np.flatnonzero(_unitary_defect(f) < tolerances.unitary)
+        index = np.flatnonzero(_unitary_defect(f) < TOLERANCES.unitary)
         f = f[index]
     sigma = np.linalg.svd(f, compute_uv=False)
     largest, smallest = sigma[:, 0], sigma[:, -1]
     condition = np.divide(largest, smallest, out=np.full(len(f), np.inf), where=smallest > 0)
     # float_power rounds as a float64 scalar's ** does (libm pow), not as x * x
     lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
-    orthogonal = square and _unitary_defect(f) < tolerances.unitary
-    riesz = square and condition < tolerances.condition_cap
-    ranks = np.select([orthogonal, riesz, lower > tolerances.frame_lower], [3, 2, 1], 0)
+    orthogonal = square and _unitary_defect(f) < TOLERANCES.unitary
+    riesz = square and condition < TOLERANCES.condition_cap
+    ranks = np.select([orthogonal, riesz, lower > TOLERANCES.frame_lower], [3, 2, 1], 0)
     keep = ranks >= least.rank
     return ranks[keep], lower[keep], upper[keep], condition[keep], index[keep]
 
 
-def classify_finite_pair(
-    a: FiniteSet, j: FiniteSet, tolerances: Tolerances = Tolerances()
-) -> FiniteClassification:
+def classify_finite_pair(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     """Classify (A, J) from the singular values of the evaluation matrix.
 
     Requires #J >= #A; square pairs may be Riesz or orthogonal bases,
@@ -205,7 +207,7 @@ def classify_finite_pair(
             "#J = %d < #A = %d: no frame classification" % (len(j), len(a))
         )
     f = build_evaluation_matrix(a, j).entries[None]
-    rank, *bounds = (x[0].item() for x in _classify_stacked(f, tolerances)[:4])
+    rank, *bounds = (x[0].item() for x in _classify_stacked(f)[:4])
     return FiniteClassification(_KINDS[rank], *bounds)
 
 
@@ -215,12 +217,10 @@ def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:
     Those sums are the off-diagonal entries of F F^H (rows of F indexed
     by J), whose diagonal is #A.
     """
-    return bool(_unitary_defect(build_evaluation_matrix(a, j).entries.T) < Tolerances().unitary)
+    return bool(_unitary_defect(build_evaluation_matrix(a, j).entries.T) < TOLERANCES.unitary)
 
 
-def transpose_pair(
-    a: FiniteSet, j: FiniteSet, tolerances: Tolerances = Tolerances()
-) -> tuple[FiniteSet, FiniteSet]:
+def transpose_pair(a: FiniteSet, j: FiniteSet) -> tuple[FiniteSet, FiniteSet]:
     """Swap the roles of A and J; defined only for basis kinds.
 
     Transposing the evaluation matrix preserves invertibility and
@@ -231,7 +231,7 @@ def transpose_pair(
         raise SymmetryUndefinedError(
             "transposition undefined for #J = %d != #A = %d" % (len(j), len(a))
         )
-    kind = classify_finite_pair(a, j, tolerances).kind
+    kind = classify_finite_pair(a, j).kind
     if kind.rank < PairKind.RIESZ_BASIS.rank:
         raise SymmetryUndefinedError("pair is not a Riesz or orthogonal basis: %s" % kind.value)
     return j, a
@@ -274,15 +274,14 @@ def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:
     f = build_evaluation_matrix(a, j).entries
     if f.shape[0] != f.shape[1]:
         raise ValueError("hadamard check needs a square evaluation matrix")
-    tolerance = Tolerances().unitary
     unitary_defect = float(_unitary_defect(f))
     try:
         coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())
     except NonInvertibleError:
         coeff_defect = float("inf")
     return HadamardReport(
-        is_hadamard=unitary_defect < tolerance,
-        self_dual=coeff_defect < tolerance,
+        is_hadamard=unitary_defect < TOLERANCES.unitary,
+        self_dual=coeff_defect < TOLERANCES.unitary,
         unitary_defect=unitary_defect,
         coefficient_defect=coeff_defect,
     )

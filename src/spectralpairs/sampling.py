@@ -24,7 +24,7 @@ import numpy as np
 from ._exact import cis, common_denominator, int_array, mul, over_2pi_i, ratio
 from .domains import BoxDomain, _top, minkowski_translate, unit_box
 from .errors import DimensionMismatchError
-from .finite_pairs import FiniteSet, Tolerances, _symbols, symbol_of_set
+from .finite_pairs import TOLERANCES, FiniteSet, _symbols, symbol_of_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +153,8 @@ def _alias_table(a: FiniteSet, j: FiniteSet, k_range):
     if a.dimension != 1 or j.dimension != 1:
         raise DimensionMismatchError("aliasing analysis is one-dimensional here")
     k_min, k_max = int(k_range[0]), int(k_range[1])
+    if k_min > k_max:
+        raise ValueError("empty k range: %d > %d" % (k_min, k_max))
     ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
     reps = int_array(a.points, a.modulus).ravel()
     return ks, _symbols(j, ks[:, None] % j.modulus), np.isin(ks, np.subtract.outer(reps, reps))
@@ -218,7 +220,7 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
     sides = np.minimum(hi, hi.T + shift) - np.maximum(lo, lo.T + shift)  # box pairs, every k
     measures = np.maximum(sides, 0).sum(axis=(1, 2))  # |Omega & (Omega + k)|
     size = np.hypot(values.real, values.imag)  # abs(value), as Python takes it
-    symbol, small, apart = differences & (ks != 0), size < Tolerances().unitary, measures == 0
+    symbol, small, apart = differences & (ks != 0), size < TOLERANCES.unitary, measures == 0
     shifts = ~differences & (ks != 0)
     return AliasReport(
         dc_value=symbol_of_set(j, 0).real,

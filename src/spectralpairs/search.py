@@ -25,7 +25,6 @@ from .finite_pairs import (
     FiniteClassification,
     FiniteSet,
     PairKind,
-    Tolerances,
     _classify_stacked,
 )
 
@@ -48,8 +47,8 @@ class SearchQuery:
         for name in ("modulus", "dimension"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be a positive integer" % name)
-        for name in ("max_results", "samples"):
-            if (getattr(self, name) or 0) < 0:
+        for name in ("max_results", "samples", "time_budget"):
+            if not (getattr(self, name) or 0) >= 0:  # NaN too
                 raise ValueError("%s must be non-negative" % name)
         if self.cardinality < 1 or self.cardinality > self.modulus**self.dimension:
             raise ValueError(
@@ -144,7 +143,7 @@ def _sampled_chunks(n: int, d: int, k: int, q: SearchQuery, rng, size: int):
         yield subsets, np.arange(0, draws, 2), np.arange(1, draws, 2)
 
 
-def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> SearchResult:
+def enumerate_pairs(q: SearchQuery) -> SearchResult:
     """All (or sampled) pairs of k-subsets matching the target kind.
 
     Deduplication keeps one representative per translation orbit of A
@@ -179,7 +178,7 @@ def enumerate_pairs(q: SearchQuery, tolerances: Tolerances = Tolerances()) -> Se
         points = int_array(subsets, d * n * n)
         phases = (points[ij] @ np.swapaxes(points[ia], 1, 2)) % n  # F = cis(-phases, n)
         distinct, inverse = _distinct(phases.reshape(len(ia), -1), n)
-        *found, index = _classify_stacked(cis(-phases[distinct], n), tolerances, q.target_kind)
+        *found, index = _classify_stacked(cis(-phases[distinct], n), q.target_kind)
         hits = np.flatnonzero(np.isin(inverse, index))[: limit - len(matches)]
         shared, owner = np.unique(inverse[hits], return_inverse=True)
         columns = (x[np.searchsorted(index, shared)].tolist() for x in found)

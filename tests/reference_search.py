@@ -20,9 +20,9 @@ from spectralpairs import (
     PairKind,
     SearchMatch,
     SearchResult,
-    Tolerances,
     build_evaluation_matrix,
 )
+from spectralpairs.finite_pairs import TOLERANCES
 from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT
 
 
@@ -35,7 +35,7 @@ def canonical_form(subset, n: int) -> tuple:
     return min(_translate_subset(subset, t, n) for t in subset)
 
 
-def classify(a: FiniteSet, j: FiniteSet, tolerances: Tolerances) -> FiniteClassification:
+def classify(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     f = build_evaluation_matrix(a, j).entries
     sigma = np.linalg.svd(f, compute_uv=False)
     lower = float(sigma[-1] ** 2)
@@ -44,11 +44,11 @@ def classify(a: FiniteSet, j: FiniteSet, tolerances: Tolerances) -> FiniteClassi
     defect = float(np.abs(f.conj().T @ f - f.shape[0] * np.eye(f.shape[1])).max())
 
     square = len(a) == len(j)
-    if square and defect < tolerances.unitary:
+    if square and defect < TOLERANCES.unitary:
         kind = PairKind.ORTHOGONAL_BASIS
-    elif square and condition < tolerances.condition_cap:
+    elif square and condition < TOLERANCES.condition_cap:
         kind = PairKind.RIESZ_BASIS
-    elif lower > tolerances.frame_lower:
+    elif lower > TOLERANCES.frame_lower:
         kind = PairKind.FRAME
     else:
         kind = PairKind.NONE
@@ -69,7 +69,7 @@ def exhaustive_pairs(n: int, d: int, k: int, dedup: bool) -> list[tuple]:
     return list(itertools.product(subsets, subsets))
 
 
-def enumerate_pairs(q, tolerances: Tolerances = Tolerances()) -> SearchResult:
+def enumerate_pairs(q) -> SearchResult:
     n, d, k = q.modulus, q.dimension, q.cardinality
     deadline = None if q.time_budget is None else time.monotonic() + q.time_budget
     exhaustive = n**d <= EXHAUSTIVE_GROUP_LIMIT
@@ -108,7 +108,7 @@ def enumerate_pairs(q, tolerances: Tolerances = Tolerances()) -> SearchResult:
         examined += 1
         a = FiniteSet(n, d, a_sub)
         j = FiniteSet(n, d, j_sub)
-        classification = classify(a, j, tolerances)
+        classification = classify(a, j)
         if classification.kind.at_least(q.target_kind):
             matches.append(SearchMatch(a, j, classification))
     return SearchResult(tuple(matches), exhaustive, partial, examined, seed)

@@ -160,10 +160,23 @@ class TestInputHandling:
              "unrecognized arguments: --base"),
             (["search", "--N", "4", "--d", "0", "--k", "1"], "dimension must be a positive integer"),
             (["search", "--N", "4", "--k", "2", "--limit", "-1"], "max_results must be non-negative"),
+            (["search", "--N", "4", "--k", "2", "--budget", "-1"],
+             "time_budget must be non-negative"),
+            (["search", "--N", "4", "--k", "2", "--budget", "nan"],
+             "time_budget must be non-negative"),
+            # one tolerance policy: no flag sets a threshold
+            (["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "1e-6"],
+             "unrecognized arguments: --tol 1e-6"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "1e-6"],
+             "unrecognized arguments: --tol 1e-6"),
+            (["search", "--N", "4", "--k", "2", "--tol", "1e-6"],
+             "unrecognized arguments: --tol 1e-6"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
-             "sample-recon-base", "search-dimension-zero", "search-negative-limit"],
+             "sample-recon-base", "search-dimension-zero", "search-negative-limit",
+             "search-negative-budget", "search-nan-budget", "classify-tol", "construct-tol",
+             "search-tol"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
@@ -187,10 +200,6 @@ class TestInputHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
-
-    def test_tolerance_range_enforced(self, capsys):
-        assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0.5"]) == 1
-        assert run(["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "0"]) == 1
 
 
 class TestAnalyticsCommands:

@@ -1,10 +1,14 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectralpairs import (
+    BoxDomain,
     DimensionMismatchError,
+    DualBasis,
     FiniteSet,
     InsufficientSpectrumError,
     NonInvertibleError,
@@ -13,10 +17,12 @@ from spectralpairs import (
     build_evaluation_matrix,
     check_mutual_orthogonality,
     classify_finite_pair,
+    hadamard_report,
     symbol_of_set,
     transpose_pair,
+    verify_alias_cancellation,
 )
-from spectralpairs.finite_pairs import Tolerances, _checked_inverse, _classify_stacked
+from spectralpairs.finite_pairs import TOLERANCES, _checked_inverse, _classify_stacked
 from scalar_phases import cis
 from fractions import Fraction
 
@@ -168,8 +174,8 @@ class TestClassification:
     def test_inverse_exists_exactly_for_riesz_ranks(self, largest):
         # condition number largest / 1: at the cap the classification says frame, so no inverse
         f = np.diag([largest, 1.0]).astype(complex)
-        riesz = _classify_stacked(f[None], Tolerances())[0][0] >= PairKind.RIESZ_BASIS.rank
-        assert riesz == (largest < Tolerances().condition_cap)
+        riesz = _classify_stacked(f[None])[0][0] >= PairKind.RIESZ_BASIS.rank
+        assert riesz == (largest < TOLERANCES.condition_cap)
         if riesz:
             assert np.array_equal(_checked_inverse(f), np.linalg.inv(f))
         else:
@@ -202,6 +208,50 @@ class TestMutualOrthogonality:
                 j = FiniteSet.from_ints(n, j_pts)
                 orth = classify_finite_pair(a, j).kind == PairKind.ORTHOGONAL_BASIS
                 assert orth == check_mutual_orthogonality(a, j)
+
+
+# N = 2^40 + 15 is prime, so 1 + omega^u != 0 and no 2-element pair of Z_N is orthogonal;
+# with J = {0, (N - 1)/2} the unitary defect is 2 sin(pi / 2N) ~ 2.9e-12, below the threshold
+LARGE_N = 2**40 + 15
+LARGE_PAIR = FiniteSet.from_ints(LARGE_N, [0, 1]), FiniteSet.from_ints(LARGE_N, [0, LARGE_N // 2])
+
+
+@pytest.mark.xfail(strict=True, reason="orthogonality is a float threshold, not an exact test")
+@pytest.mark.parametrize(
+    "orthogonal",
+    [
+        lambda a, j: classify_finite_pair(a, j).kind is PairKind.ORTHOGONAL_BASIS,
+        lambda a, j: hadamard_report(a, j).is_hadamard,
+        lambda a, j: hadamard_report(a, j).self_dual,
+        lambda a, j: DualBasis.build(BoxDomain.interval(0, 1), a, j).is_self_dual,
+        check_mutual_orthogonality,
+        lambda a, j: verify_alias_cancellation(a, j, (-1, 1)).passed,
+    ],
+    ids=["classify", "is-hadamard", "self-dual", "dual-basis", "mutual", "alias"],
+)
+def test_no_two_point_pair_is_orthogonal_at_a_large_prime(orthogonal):
+    assert not orthogonal(*LARGE_PAIR)
+
+
+def test_every_threshold_reads_the_one_policy():
+    # one Tolerances instance; no function takes a tolerance; no float literal in
+    # exponent notation (1e-10, 1e12, ...) outside the Tolerances class body
+    package = Path(__file__).resolve().parents[1] / "src" / "spectralpairs"
+    calls, params, literals = [], [], []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        policy = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  and cls.name == "Tolerances" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tolerances":
+                calls.append(path.name)
+            if isinstance(node, ast.arg) and node.arg in ("tolerance", "tolerances"):
+                params.append("%s:%d" % (path.name, node.lineno))
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and id(node) not in policy and "e" in ast.get_source_segment(source, node)):
+                literals.append("%s:%d" % (path.name, node.lineno))
+    assert (calls, params, literals) == (["finite_pairs.py"], [], [])
 
 
 class TestSymbol:

@@ -264,15 +264,22 @@ def alias_cases(draw):
                                                  max_size=min(n, 5), unique=True)))
             for _ in range(2))
     k_min = draw(st.integers(-3 * n, 1))
-    return a, j, (k_min, draw(st.integers(k_min - 1, 3 * n)))  # may be empty
+    return a, j, (k_min, draw(st.integers(k_min - 1, 3 * n)))  # may be empty, which is refused
 
 
 @settings(max_examples=200, deadline=None)
 @given(alias_cases())
 @example((FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1]), (-8, 8)))
 @example((FiniteSet.from_ints(6, [0, 3]), FiniteSet.from_ints(6, [0, 3]), (-12, 12)))
+@example((FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1]), (5, -5)))
+@example((FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1]), (3, 3)))
 def test_alias_table_matches_per_k_reference(case):
     a, j, k_range = case
+    if k_range[0] > k_range[1]:  # an empty range would test no k and pass vacuously
+        for tabulate in (alias_coefficients, verify_alias_cancellation):
+            with pytest.raises(ValueError, match="empty k range"):
+                tabulate(a, j, k_range)
+        return
     table, report = reference_alias(a, j, k_range)
     got = alias_coefficients(a, j, k_range)
     assert [(e.k, e.in_difference_set) for e in got] == [(k, d) for k, _, d in table]
