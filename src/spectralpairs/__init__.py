@@ -13,20 +13,16 @@ from .analytics import (
     DualBasis,
     GramMatrix,
     build_gram,
-    dual_piece_coefficients,
     estimate_frame_bounds,
     exp_inner_product,
-    finite_dual,
     reconstruct_function,
     verify_biorthogonality,
 )
 from .constructor import (
-    BesselBound,
     CombinedPairResult,
     CompletenessReport,
     ContinuousPair,
     HypothesisCheck,
-    bessel_constant,
     cartesian_product,
     check_completeness_hypotheses,
     combine_frame,
@@ -65,18 +61,15 @@ from .finite_pairs import (
     PairKind,
     Tolerances,
     build_evaluation_matrix,
-    check_mutual_orthogonality,
     classify_finite_pair,
     hadamard_report,
     symbol_of_set,
     transpose_pair,
 )
 from .sampling import (
-    AliasCoefficient,
     AliasReport,
     BandlimitedSignal,
     SamplePattern,
-    alias_coefficients,
     reconstruct_spectrum,
     sample_signal,
     verify_alias_cancellation,

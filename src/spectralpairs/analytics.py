@@ -153,17 +153,6 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     return out
 
 
-def finite_dual(a: FiniteSet, j: FiniteSet) -> np.ndarray:
-    """Dual values G[r, s] = G_{j_s}(a_r) = k (F^{-1})[r, s]."""
-    return len(a) * _checked_inverse(build_evaluation_matrix(a, j).entries)
-
-
-def dual_piece_coefficients(a: FiniteSet, j: FiniteSet) -> np.ndarray:
-    """Piecewise multipliers c[r, s] = k (F^{-1})[r, s] omega^{a_r . j_s}."""
-    f = build_evaluation_matrix(a, j).entries
-    return _piece_coefficients(f, _checked_inverse(f))
-
-
 @dataclass(frozen=True, eq=False)
 class DualBasis:
     """Dual data for the combined system built from (base_domain, A, J)."""
@@ -224,7 +213,8 @@ def verify_biorthogonality(
     docstring; all inner products are evaluated analytically.  ``spec``
     is the base spectrum, ``dom1`` the base domain.
     """
-    coeff = dual_piece_coefficients(a, j)
+    f = build_evaluation_matrix(a, j).entries
+    coeff = _piece_coefficients(f, _checked_inverse(f))
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
     points = _window(combined, radius)

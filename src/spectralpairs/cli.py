@@ -100,8 +100,9 @@ def _finite_set(modulus: int | None, points, flag: str) -> FiniteSet:
 
 
 def _parse_json(path: str, parse):
-    """parse(data) for the JSON in path; malformed JSON, a missing key, a value
-    of the wrong shape or a zero denominator is malformed input, not a crash."""
+    """parse(data) for the JSON in path; malformed JSON, a missing key or a value the
+    parser rejects (wrong shape or type, zero denominator, failed check) is malformed
+    input naming the path, not a crash."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -110,11 +111,13 @@ def _parse_json(path: str, parse):
                 "malformed JSON in %s: %s (line %d, column %d)"
                 % (path, exc.msg, exc.lineno, exc.colno)
             )
+        except UnicodeDecodeError as exc:
+            raise InputError("malformed JSON in %s: %s" % (path, exc)) from None
     try:
         return parse(data)
     except KeyError as exc:
         raise InputError("malformed input in %s: missing key %s" % (path, exc)) from None
-    except (TypeError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, IndexError, ValueError, ZeroDivisionError, SpectralPairError) as exc:
         raise InputError("malformed input in %s: %s" % (path, exc)) from None
 
 

@@ -62,7 +62,9 @@ class ContinuousPair:
                 "domain dimension %d != spectrum dimension %d"
                 % (self.domain.dimension, self.spectrum.dimension)
             )
-        if not (math.isnan(self.lower) or self.lower <= self.upper):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("pair constants must be finite")
+        if self.lower > self.upper:
             raise ValueError("lower constant exceeds upper constant")
         if self.kind.at_least(PairKind.FRAME) and not self.lower > 0:
             raise ValueError("a %s pair needs a positive lower constant" % self.kind.value)
@@ -291,39 +293,3 @@ def check_completeness_hypotheses(
         )
     )
     return CompletenessReport(tuple(checks))
-
-
-@dataclass(frozen=True)
-class BesselBound:
-    """Synthesis-side Bessel constants for the combined system.
-
-    ``per_translate`` bounds the energy of any finite combination
-    sum c e_lambda restricted to a single translated copy Omega_1 + a by
-    (#J) C sum |c|^2, C the base Bessel constant; summing the copies
-    gives the global bound ``coarse`` = #A #J |Omega_1| when C = |Omega_1|.
-    The combination is a tight frame when #A = 1.
-    """
-
-    per_translate: float
-    coarse: float
-    tight_frame: bool
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_translate": self.per_translate,
-            "coarse": self.coarse,
-            "tight_frame": self.tight_frame,
-            "note": self.note,
-        }
-
-
-def bessel_constant(base: ContinuousPair, a: FiniteSet, j: FiniteSet) -> BesselBound:
-    """Guaranteed Bessel constants for exponentials on Omega_1 + A shifted by J/N."""
-    if not base.upper > 0 or math.isnan(base.upper) or math.isinf(base.upper):
-        raise UnsupportedPairError("base pair carries no finite Bessel bound")
-    per_translate = base.upper * len(j)
-    coarse = len(a) * len(j) * float(base.domain.measure)
-    tight = len(a) == 1
-    note = "tight frame: single translate, constant #J |Omega_1|" if tight else ""
-    return BesselBound(per_translate, coarse, tight, note)

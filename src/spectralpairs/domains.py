@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,7 +86,7 @@ class BoxDomain:
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if operator.index(self.dimension) < 1:
             raise ValueError("dimension must be at least 1")
         corners = [to_vector(c, self.dimension) for lo, hi in self.boxes for c in (lo, hi)]
         self._validate(*_numerators(corners, self.dimension))
@@ -176,7 +177,7 @@ class BoxDomain:
             (tuple(Fraction(c) for c in b["lo"]), tuple(Fraction(c) for c in b["hi"]))
             for b in data["boxes"]
         )
-        return cls(int(data["d"]), boxes)
+        return cls(data["d"], boxes)
 
 
 def unit_box(dimension: int) -> BoxDomain:
@@ -199,7 +200,7 @@ class Spectrum:
     shifts: tuple[Vec, ...] = field(default_factory=tuple)  # no class default to shadow the view
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if operator.index(self.dimension) < 1:
             raise ValueError("dimension must be at least 1")
         d = self.dimension
         basis = [to_vector(g, d) for g in self.basis]

@@ -13,6 +13,7 @@ stacked SVD: a single pair is a stack of one, a search chunk a stack of many.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -63,35 +64,35 @@ TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """An ordered subset of Z_N^d with exact integer coordinates."""
+    """An ordered subset of Z_N^d with exact integer coordinates; the modulus, the
+    dimension and every coordinate must be integers (``operator.index``), never truncated."""
 
     modulus: int
     dimension: int
     points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.modulus < 1:
+        n, d = operator.index(self.modulus), operator.index(self.dimension)
+        if n < 1:
             raise ValueError("modulus must be a positive integer")
-        if self.dimension < 1:
+        if d < 1:
             raise ValueError("dimension must be a positive integer")
         reduced = []
         for p in self.points:
             if isinstance(p, int):
                 p = (p,)
-            p = tuple(int(c) % self.modulus for c in p)
-            if len(p) != self.dimension:
-                raise DimensionMismatchError(
-                    "point %r does not have dimension %d" % (p, self.dimension)
-                )
+            p = tuple(operator.index(c) % n for c in p)
+            if len(p) != d:
+                raise DimensionMismatchError("point %r does not have dimension %d" % (p, d))
             reduced.append(p)
         if len(set(reduced)) != len(reduced):
-            raise ValueError("points are not distinct mod %d: %r" % (self.modulus, reduced))
-        object.__setattr__(self, "points", tuple(reduced))
+            raise ValueError("points are not distinct mod %d: %r" % (n, reduced))
+        vars(self).update(modulus=n, dimension=d, points=tuple(reduced))
 
     @classmethod
     def from_ints(cls, modulus: int, values) -> "FiniteSet":
         """One-dimensional constructor from plain integers."""
-        return cls(modulus, 1, tuple((int(v),) for v in values))
+        return cls(modulus, 1, tuple((v,) for v in values))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -106,7 +107,7 @@ class FiniteSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteSet":
-        return cls(int(data["N"]), int(data["d"]), tuple(tuple(p) for p in data["points"]))
+        return cls(data["N"], data["d"], tuple(tuple(p) for p in data["points"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +210,6 @@ def classify_finite_pair(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     f = build_evaluation_matrix(a, j).entries[None]
     rank, *bounds = (x[0].item() for x in _classify_stacked(f)[:4])
     return FiniteClassification(_KINDS[rank], *bounds)
-
-
-def check_mutual_orthogonality(a: FiniteSet, j: FiniteSet) -> bool:
-    """True iff sum_{a in A} e^{2 pi i (j - j').a / N} vanishes for all j != j'.
-
-    Those sums are the off-diagonal entries of F F^H (rows of F indexed
-    by J), whose diagonal is #A.
-    """
-    return bool(_unitary_defect(build_evaluation_matrix(a, j).entries.T) < TOLERANCES.unitary)
 
 
 def transpose_pair(a: FiniteSet, j: FiniteSet) -> tuple[FiniteSet, FiniteSet]:

@@ -141,31 +141,6 @@ def sample_signal(f: BandlimitedSignal, p: SamplePattern) -> list[complex]:
     return _samples(f, *_pattern(p))
 
 
-@dataclass(frozen=True)
-class AliasCoefficient:
-    k: int
-    value: complex
-    in_difference_set: bool
-
-
-def _alias_table(a: FiniteSet, j: FiniteSet, k_range):
-    """The integers k of the range, the symbol chi_hat_J(k) at each, and whether k is in A - A."""
-    if a.dimension != 1 or j.dimension != 1:
-        raise DimensionMismatchError("aliasing analysis is one-dimensional here")
-    k_min, k_max = int(k_range[0]), int(k_range[1])
-    if k_min > k_max:
-        raise ValueError("empty k range: %d > %d" % (k_min, k_max))
-    ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
-    reps = int_array(a.points, a.modulus).ravel()
-    return ks, _symbols(j, ks[:, None] % j.modulus), np.isin(ks, np.subtract.outer(reps, reps))
-
-
-def alias_coefficients(a: FiniteSet, j: FiniteSet, k_range) -> list[AliasCoefficient]:
-    """Tabulate the symbol chi_hat_J(k) over an integer interval, flagging A - A."""
-    ks, values, differences = _alias_table(a, j, k_range)
-    return list(map(AliasCoefficient, ks.tolist(), values.tolist(), differences.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class AliasReport:
     """Aliasing-cancellation certificate for (A, J) on the range of k tested.
@@ -213,7 +188,15 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
     non-orthogonal J shows up as a named violation); all other k must
     have Omega and Omega + k disjoint, decided in rational arithmetic.
     """
-    ks, values, differences = _alias_table(a, j, k_range)
+    if a.dimension != 1 or j.dimension != 1:
+        raise DimensionMismatchError("aliasing analysis is one-dimensional here")
+    k_min, k_max = int(k_range[0]), int(k_range[1])
+    if k_min > k_max:
+        raise ValueError("empty k range: %d > %d" % (k_min, k_max))
+    ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
+    reps = int_array(a.points, a.modulus).ravel()
+    values = _symbols(j, ks[:, None] % j.modulus)  # the symbol chi_hat_J at each k
+    differences = np.isin(ks, np.subtract.outer(reps, reps))  # k in A - A
     corners = minkowski_translate(unit_box(1), a)._corners  # integers: [0, 1) + A has D = 1
     bound = len(corners) ** 2 * (2 * _top(corners) + _top(ks))
     lo, hi, shift = (int_array(x, bound) for x in (corners[0::2], corners[1::2], ks[:, None, None]))

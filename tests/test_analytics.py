@@ -22,17 +22,20 @@ from spectralpairs import (
     classify_finite_pair,
     combine_orthogonal,
     combine_riesz,
-    dual_piece_coefficients,
     enumerate_spectrum,
     estimate_frame_bounds,
     exp_inner_product,
-    finite_dual,
     integer_lattice,
     reconstruct_function,
     scaled_lattice,
     shift_spectrum,
     verify_biorthogonality,
 )
+
+
+def unit_dual(a, j) -> DualBasis:
+    """The dual data of (A, J) over the base [0, 1)."""
+    return DualBasis.build(BoxDomain.interval(0, 1), a, j)
 
 
 def quad_inner_product(dom: BoxDomain, lam, mu) -> complex:
@@ -161,17 +164,17 @@ class TestFrameBounds:
 class TestFiniteDual:
     def test_unitary_pair_self_inverse(self, two_interval_sets):
         a, j = two_interval_sets
-        g = finite_dual(a, j)
+        g = unit_dual(a, j).finite_dual
         assert np.abs(g - np.array([[1, 1], [1, -1]])).max() < 1e-12
 
     def test_identity_for_single_point(self):
         one = FiniteSet.from_ints(4, [0])
-        assert np.abs(finite_dual(one, one) - np.eye(1)).max() < 1e-12
+        assert np.abs(unit_dual(one, one).finite_dual - np.eye(1)).max() < 1e-12
 
     def test_scaled_inverse(self, golden_sets):
         a, j = golden_sets
         f = build_evaluation_matrix(a, j).entries
-        g = finite_dual(a, j)
+        g = unit_dual(a, j).finite_dual
         assert np.abs(g - 2 * np.linalg.inv(f)).max() < 1e-12
         assert np.abs(f @ g - 2 * np.eye(2)).max() < 1e-10
 
@@ -179,36 +182,36 @@ class TestFiniteDual:
         # (1/k) sum_r G[r,s] conj(E_{j_s'}(a_r)) = delta_{s,s'}
         a, j = golden_sets
         f = build_evaluation_matrix(a, j).entries
-        g = finite_dual(a, j)
+        g = unit_dual(a, j).finite_dual
         k = len(a)
         product = (f @ g) / k
         assert np.abs(product - np.eye(k)).max() < 1e-10
 
     def test_singular_pair_raises(self):
         with pytest.raises(NonInvertibleError):
-            finite_dual(FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 2]))
+            unit_dual(FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 2]))
 
     def test_rectangular_raises(self):
         with pytest.raises(NonInvertibleError):
-            finite_dual(FiniteSet.from_ints(4, [0]), FiniteSet.from_ints(4, [0, 1]))
+            unit_dual(FiniteSet.from_ints(4, [0]), FiniteSet.from_ints(4, [0, 1]))
 
 
 class TestDualPieceCoefficients:
     def test_unitary_pair_coefficients_are_one(self, two_interval_sets):
         a, j = two_interval_sets
-        c = dual_piece_coefficients(a, j)
+        c = unit_dual(a, j).piece_coefficients
         assert np.abs(c - 1).max() < 1e-12
 
     def test_single_point(self):
         one = FiniteSet.from_ints(4, [0])
-        c = dual_piece_coefficients(one, one)
+        c = unit_dual(one, one).piece_coefficients
         assert np.abs(c - np.array([[1.0]])).max() < 1e-12
 
     def test_matches_inverse_times_phase(self, golden_sets):
         a, j = golden_sets
         f = build_evaluation_matrix(a, j).entries
         inv = np.linalg.inv(f)
-        c = dual_piece_coefficients(a, j)
+        c = unit_dual(a, j).piece_coefficients
         w = np.exp(-2j * np.pi / 5)
         for r, (ar,) in enumerate(a.points):
             for s, (js,) in enumerate(j.points):
@@ -222,7 +225,7 @@ class TestDualPieceCoefficients:
             j = FiniteSet.from_ints(n, j_pts)
             if classify_finite_pair(a, j).kind == PairKind.NONE:
                 continue
-            c = dual_piece_coefficients(a, j)
+            c = unit_dual(a, j).piece_coefficients
             unimodular = np.abs(np.abs(c) - 1).max() < 1e-10
             orthogonal = classify_finite_pair(a, j).kind == PairKind.ORTHOGONAL_BASIS
             assert unimodular == orthogonal
@@ -230,7 +233,7 @@ class TestDualPieceCoefficients:
     def test_golden_pair_coefficient_modulus(self, golden_sets):
         # |c| = 1/sin(2 pi/5) for the extreme entries of the inverse
         a, j = golden_sets
-        c = dual_piece_coefficients(a, j)
+        c = unit_dual(a, j).piece_coefficients
         expected = 1 / math.sin(2 * math.pi / 5)
         assert abs(abs(c[0, 0]) - expected) < 1e-12
 

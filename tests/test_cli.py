@@ -21,6 +21,28 @@ ZERO_DENOMINATOR = {
 }
 
 
+# the unit interval with Z, written out; ``pair_json`` swaps in a value
+UNIT_BASE = {
+    "domain": {"d": 1, "boxes": [{"lo": ["0"], "hi": ["1"]}]},
+    "spectrum": {"basis": [["1"]], "shifts": [["0"]]},
+    "kind": "orthogonal-basis", "lower": 1.0, "upper": 1.0,
+}
+
+
+def pair_json(**changes):
+    return {**UNIT_BASE, **changes}
+
+
+def finite_json(a_n=4, a_points=((0,), (2,)), j_n=4):
+    return {"A": {"N": a_n, "d": 1, "points": a_points},
+            "J": {"N": j_n, "d": 1, "points": [[0], [1]]}}
+
+
+# JSON text that Python's json.dumps cannot write: 1e400 reads back as inf
+INF_MODULUS = json.dumps(finite_json(a_n=0)).replace('"N": 0', '"N": 1e400')
+INF_CONSTANTS = json.dumps(pair_json(lower=0.5, upper=0.5)).replace("0.5", "1e400")
+
+
 class TestClassify:
     def test_unitary_example(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -109,6 +131,14 @@ class TestInputHandling:
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
+    def test_undecodable_json_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert run(["classify", "--finite", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed JSON in %s: " % bad)
+        assert "codec can't decode" in err and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         assert run(["construct", "--N", "4", "--A", "0,2", "--J", "0,1",
                     "--base", "/nonexistent.json"]) == 1
@@ -126,13 +156,32 @@ class TestInputHandling:
             (["gram", "--pair"], ZERO_DENOMINATOR, "Fraction(1, 0)"),
             (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"], ZERO_DENOMINATOR,
              "Fraction(1, 0)"),
+            # values the library rejects: integers must be integers, constants finite
+            (["classify", "--finite"], finite_json(a_points=[[0], [2.7]], j_n=4.9),
+             "'float' object cannot be interpreted as an integer"),
+            (["classify", "--finite"], INF_MODULUS,
+             "'float' object cannot be interpreted as an integer"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"],
+             pair_json(domain={"d": 1.5, "boxes": [{"lo": ["0"], "hi": ["1"]}]}),
+             "'float' object cannot be interpreted as an integer"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"], INF_CONSTANTS,
+             "pair constants must be finite"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"],
+             pair_json(domain={"d": 1, "boxes": [{"lo": ["0"], "hi": ["abc"]}]}),
+             "Invalid literal for Fraction: 'abc'"),
+            (["gram", "--pair"], pair_json(kind="bogus"), "'bogus' is not a valid PairKind"),
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1", "--base"],
+             pair_json(domain={"d": 1, "boxes": [{"lo": ["0"], "hi": ["2"]}, {"lo": ["1"], "hi": ["3"]}]}),
+             "boxes 0 and 1 intersect with positive measure"),
         ],
         ids=["missing-boxes", "missing-J", "pair-is-list", "base-is-list",
-             "pair-zero-denominator", "base-zero-denominator"],
+             "pair-zero-denominator", "base-zero-denominator", "float-point-and-modulus",
+             "infinite-modulus", "float-dimension", "infinite-constants", "bad-fraction",
+             "unknown-kind", "overlapping-base"],
     )
     def test_wrongly_shaped_json_is_input_error(self, tmp_path, capsys, argv, payload, named):
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert run(argv + [str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1

@@ -12,7 +12,6 @@ from spectralpairs import (
     OverlapError,
     PairKind,
     UnsupportedPairError,
-    bessel_constant,
     build_gram,
     cartesian_product,
     check_completeness_hypotheses,
@@ -212,27 +211,37 @@ class TestCompleteness:
         assert combine_riesz(base, a, j).checks[2] == check
 
 
+class TestContinuousPair:
+    @pytest.mark.parametrize(
+        "kind,lower,upper",
+        [(PairKind.ORTHOGONAL_BASIS, math.inf, math.inf), (PairKind.FRAME, 1.0, math.inf),
+         (PairKind.NONE, math.nan, 0.0), (PairKind.NONE, -math.inf, 0.0)],
+        ids=["both-infinite", "upper-infinite", "lower-nan", "lower-minus-infinite"],
+    )
+    def test_constants_must_be_finite(self, unit_base, kind, lower, upper):
+        with pytest.raises(ValueError, match="pair constants must be finite"):
+            ContinuousPair(unit_base.domain, unit_base.spectrum, kind, lower, upper)
+
+    def test_json_infinity_rejected(self, unit_base):
+        data = {**unit_base.to_json_dict(), "lower": math.inf, "upper": math.inf}
+        with pytest.raises(ValueError, match="pair constants must be finite"):
+            ContinuousPair.from_json_dict(data)
+
+    def test_json_float_dimension_rejected(self, unit_base):
+        data = unit_base.to_json_dict()
+        with pytest.raises(TypeError):
+            BoxDomain.from_json_dict({**data["domain"], "d": 1.5})
+
+
 class TestBesselConstant:
-    def test_refined_and_coarse_values(self, unit_base, golden_sets):
-        a, j = golden_sets
-        bound = bessel_constant(unit_base, a, j)
-        assert bound.per_translate == pytest.approx(2.0)
-        assert bound.coarse == pytest.approx(4.0)
-        assert not bound.tight_frame
-
-    def test_single_point_sets(self, unit_base):
-        one = FiniteSet.from_ints(4, [0])
-        bound = bessel_constant(unit_base, one, one)
-        assert bound.per_translate == pytest.approx(1.0)
-        assert bound.tight_frame
-        assert "tight" in bound.note
-
     def test_per_translate_bound_holds_but_global_refinement_fails(self, unit_base, golden_sets):
         """The per-translate energy bound (#J) C is sharp-side valid; promoting
         it to the whole domain is not, since the true upper Riesz constant
-        2 + 2 cos(2 pi / 5) exceeds 2.  Random vectors witness both facts."""
+        2 + 2 cos(2 pi / 5) exceeds 2.  Random vectors witness both facts.
+        The global bound is the coarse #A #J |Omega_1|."""
         a, j = golden_sets
-        bound = bessel_constant(unit_base, a, j)
+        per_translate = len(j) * unit_base.upper
+        coarse = len(a) * len(j) * float(unit_base.domain.measure)
         dom = minkowski_translate(unit_base.domain, a)
         spec = shift_spectrum(unit_base.spectrum, j, j.modulus)
         points = enumerate_spectrum(spec, 4)
@@ -258,9 +267,9 @@ class TestBesselConstant:
                 per_translate_max = max(
                     per_translate_max, float(np.vdot(c, g @ c).real) / norm2
                 )
-        assert per_translate_max <= bound.per_translate + 1e-9
-        assert global_max <= bound.coarse + 1e-9
-        assert global_max > bound.per_translate  # the literal global refinement fails
+        assert per_translate_max <= per_translate + 1e-9
+        assert global_max <= coarse + 1e-9
+        assert global_max > per_translate  # the literal global refinement fails
 
 
 class TestPredictedConstants:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from spectralpairs import (
     BoxDomain,
     ContinuousPair,
+    DualBasis,
     DuplicateSpectrumError,
     FiniteSet,
     NonInvertibleError,
@@ -26,7 +27,6 @@ from spectralpairs import (
     Spectrum,
     build_gram,
     combine_orthogonal,
-    dual_piece_coefficients,
     enumerate_spectrum,
     estimate_frame_bounds,
     exp_inner_product,
@@ -94,7 +94,7 @@ def fraction_window_bounds(dom, spec, radii):
 
 
 def reference_biorthogonality(dom1, spec, a, j, radius):
-    coeff = dual_piece_coefficients(a, j)
+    coeff = DualBasis.build(dom1, a, j).piece_coefficients
     translates = [dom1.translate(p) for p in a.points]
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
@@ -265,7 +265,7 @@ def biorthogonal_cases(draw):
     a = FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=k, max_size=k, unique=True))))
     j = FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=k, max_size=k, unique=True))))
     try:
-        dual_piece_coefficients(a, j)
+        DualBasis.build(BoxDomain.interval(0, 1), a, j)
         spec = draw(spectra(d))
         shift_spectrum(spec, j, n)
     except (NonInvertibleError, DuplicateSpectrumError):

@@ -1,7 +1,7 @@
 """Differential tests: the array phase kernel against the scalar phase path.
 
 ``_exact.cis`` evaluates a table of residues in one numpy pass, and
-``build_evaluation_matrix``, ``dual_piece_coefficients`` and
+``build_evaluation_matrix``, ``DualBasis.build`` and
 ``sample_signal`` evaluate every phase through it over whole
 integer arrays.  The references below are the per-entry paths they
 replaced, built on the scalar ``cis`` kept in ``scalar_phases``: one
@@ -23,11 +23,11 @@ from spectralpairs import _exact
 from spectralpairs import (
     BandlimitedSignal,
     BoxDomain,
+    DualBasis,
     FiniteSet,
     NonInvertibleError,
     SamplePattern,
     build_evaluation_matrix,
-    dual_piece_coefficients,
     sample_signal,
 )
 from spectralpairs.finite_pairs import _checked_inverse
@@ -209,7 +209,7 @@ def test_piece_coefficients_are_bit_identical(pair):
     a, j = pair
     f = build_evaluation_matrix(a, j).entries
     try:
-        got = dual_piece_coefficients(a, j)
+        got = DualBasis.build(BoxDomain.interval(0, 1), a, j).piece_coefficients
     except NonInvertibleError:
         assume(False)
     assert got.tobytes() == reference_piece_coefficients(f).tobytes()
