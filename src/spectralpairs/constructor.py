@@ -210,6 +210,9 @@ def _combine(
     if finite is not None:
         predicted_lower = base.lower * finite.lower
         predicted_upper = base.upper * finite.upper
+        for side, x, y in ("lower", base.lower, finite.lower), ("upper", base.upper, finite.upper):
+            if not math.isfinite(x * y):
+                raise ValueError("predicted %s constant overflows: %r * %r" % (side, x, y))
     else:
         predicted_lower = predicted_upper = float("nan")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -79,8 +80,7 @@ class FiniteSet:
             raise ValueError("dimension must be a positive integer")
         reduced = []
         for p in self.points:
-            if isinstance(p, int):
-                p = (p,)
+            p = (p,) if isinstance(p, Integral) else p  # an integer scalar is a 1-d point
             p = tuple(operator.index(c) % n for c in p)
             if len(p) != d:
                 raise DimensionMismatchError("point %r does not have dimension %d" % (p, d))
@@ -98,12 +98,12 @@ class FiniteSet:
         return len(self.points)
 
     def translate(self, t) -> "FiniteSet":
-        t = (t,) if isinstance(t, int) else tuple(t)
+        t = (t,) if isinstance(t, Integral) else tuple(t)
         pts = tuple(tuple((c + dt) % self.modulus for c, dt in zip(p, t)) for p in self.points)
         return FiniteSet(self.modulus, self.dimension, pts)
 
     def to_json_dict(self) -> dict:
-        return {"N": self.modulus, "d": self.dimension, "points": list(map(list, self.points))}
+        return {"N": self.modulus, "d": self.dimension, "points": self.points}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteSet":
@@ -180,7 +180,8 @@ def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     (m, #J, #A), #J >= #A.  Orthogonality rests on the unitary defect alone, so for an
     orthogonal ``least`` only the square matrices that the defect passes get an SVD."""
     square, index = f.shape[1] == f.shape[2], np.arange(len(f))
-    if square and least is PairKind.ORTHOGONAL_BASIS:
+    screened = square and least is PairKind.ORTHOGONAL_BASIS
+    if screened:
         index = np.flatnonzero(_unitary_defect(f) < TOLERANCES.unitary)
         f = f[index]
     sigma = np.linalg.svd(f, compute_uv=False)
@@ -188,7 +189,12 @@ def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     condition = np.divide(largest, smallest, out=np.full(len(f), np.inf), where=smallest > 0)
     # float_power rounds as a float64 scalar's ** does (libm pow), not as x * x
     lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
-    orthogonal = square and _unitary_defect(f) < TOLERANCES.unitary
+    orthogonal = np.full(len(f), screened)  # a screened stack holds only what passed
+    if square and not screened:
+        # a defect below u gives |F^H F - n I|_2 < n u, n = #A, so upper - lower < 2 n u:
+        # past 4 n u it cannot pass whatever the rounding, and skipping it only saves work
+        near = np.flatnonzero(upper - lower <= 4 * f.shape[2] * TOLERANCES.unitary)
+        orthogonal[near] = _unitary_defect(f[near]) < TOLERANCES.unitary
     riesz = square and condition < TOLERANCES.condition_cap
     ranks = np.select([orthogonal, riesz, lower > TOLERANCES.frame_lower], [3, 2, 1], 0)
     keep = ranks >= least.rank
@@ -231,7 +237,7 @@ def transpose_pair(a: FiniteSet, j: FiniteSet) -> tuple[FiniteSet, FiniteSet]:
 
 def symbol_of_set(j: FiniteSet, k) -> complex:
     """The symbol of J at integer argument k: sum_{j in J} e^{-2 pi i j.k / N}."""
-    k = (k,) if isinstance(k, int) else tuple(int(c) for c in k)
+    k = tuple(map(operator.index, (k,) if isinstance(k, Integral) else k))
     if len(k) != j.dimension:
         raise DimensionMismatchError("argument %r does not have dimension %d" % (k, j.dimension))
     return complex(_symbols(j, [[c % j.modulus for c in k]])[0])

@@ -8,8 +8,10 @@ Groups with more than 16 elements are sampled with a seed instead, drawing
 indices and never building the group.  Pairs go in fixed-size chunks.  A
 pair's evaluation matrix depends on it only through P = J A^T mod N, so a
 chunk classifies one stack of its distinct P, an orthogonal query screening
-it on the unitary defect so that only what passes gets an SVD; matches with
-one P share a ``FiniteClassification``, and only matches get ``FiniteSet``s.
+it on the unitary defect so that only what passes gets an SVD.  One position
+table, distinct P -> match class or -1, takes each pair to its match: matches
+with one P share a ``FiniteClassification``, and only matches get
+``FiniteSet``s, one per subset, shared by every match that holds it.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
         chunks, total = _sampled_chunks(n, d, k, q, rng, size), q.samples
 
     limit = total if q.max_results is None else q.max_results  # total: no pair beyond it
-    kinds = tuple(PairKind)  # in rank order
+    kinds = np.array(tuple(PairKind), dtype=object)  # in rank order
     matches: list[SearchMatch] = []
     examined, partial = 0, False
     finite: dict[int, FiniteSet] = {}  # subset row -> FiniteSet, built for matches only
@@ -178,18 +180,19 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
         points = int_array(subsets, d * n * n)
         phases = (points[ij] @ np.swapaxes(points[ia], 1, 2)) % n  # F = cis(-phases, n)
         distinct, inverse = _distinct(phases.reshape(len(ia), -1), n)
-        *found, index = _classify_stacked(cis(-phases[distinct], n), q.target_kind)
-        hits = np.flatnonzero(np.isin(inverse, index))[: limit - len(matches)]
-        shared, owner = np.unique(inverse[hits], return_inverse=True)
-        columns = (x[np.searchsorted(index, shared)].tolist() for x in found)
-        classes = [FiniteClassification(kinds[r], *bounds) for r, *bounds in zip(*columns)]
+        ranks, *bounds, index = _classify_stacked(cis(-phases[distinct], n), q.target_kind)
+        position = np.full(len(distinct), -1)  # distinct matrix -> its match class, or -1
+        position[index] = np.arange(len(index))
+        owner = position[inverse]
+        hits = np.flatnonzero(owner >= 0)[: limit - len(matches)]
+        classes = list(map(FiniteClassification, kinds[ranks], *(x.tolist() for x in bounds)))
         a_rows, j_rows = ia[hits].tolist(), ij[hits].tolist()
         if not exhaustive:
             finite.clear()  # each sampled chunk draws new subsets
         for i in {*a_rows, *j_rows}.difference(finite):
             finite[i] = FiniteSet(n, d, points[i].tolist())
-        for a, j, c in zip(a_rows, j_rows, owner.tolist()):
-            matches.append(SearchMatch(finite[a], finite[j], classes[c]))
+        owners = map(classes.__getitem__, owner[hits].tolist())
+        matches.extend(map(SearchMatch, map(finite.get, a_rows), map(finite.get, j_rows), owners))
         if len(matches) >= limit:
             examined += int(hits[-1]) + 1
             partial = examined < total

@@ -1,5 +1,7 @@
 """The per-pair search loop that the batched classifier in ``search`` replaced,
-and the scalar canonical form that its array kernel replaced.
+the scalar canonical form that its array kernel replaced, and the stacked
+classification rule before it skipped the unitary defect of matrices whose
+squared singular values are too far apart to pass it.
 
 Kept as the references the differential tests compare against: every pair
 gets its own two ``FiniteSet``s, its own evaluation matrix, SVD and
@@ -53,6 +55,23 @@ def classify(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     else:
         kind = PairKind.NONE
     return FiniteClassification(kind, lower, upper, condition)
+
+
+def classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
+    """``finite_pairs._classify_stacked`` with the unitary defect of every matrix evaluated:
+    one SVD of the whole stack, the same kind rule, the same five arrays."""
+    square = f.shape[1] == f.shape[2]
+    sigma = np.linalg.svd(f, compute_uv=False)
+    largest, smallest = sigma[:, 0], sigma[:, -1]
+    condition = np.divide(largest, smallest, out=np.full(len(f), np.inf), where=smallest > 0)
+    lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
+    gram = np.swapaxes(f.conj(), 1, 2) @ f
+    defect = np.abs(gram - f.shape[1] * np.eye(f.shape[2])).max(axis=(1, 2))
+    orthogonal = square & (defect < TOLERANCES.unitary)
+    riesz = square & (condition < TOLERANCES.condition_cap)
+    ranks = np.select([orthogonal, riesz, lower > TOLERANCES.frame_lower], [3, 2, 1], 0)
+    keep = np.flatnonzero(ranks >= least.rank)
+    return ranks[keep], lower[keep], upper[keep], condition[keep], keep
 
 
 def group_elements(n: int, d: int) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,19 @@ class TestInputHandling:
         err = capsys.readouterr().err
         assert err.startswith("input error: malformed JSON in %s: " % bad)
         assert "codec can't decode" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("a_points,side", [("0,2", "lower"), ("0,1", "upper")],
+                             ids=["passing-pair", "failing-pair"])
+    def test_overflowing_predicted_constant_is_input_error(self, tmp_path, capsys, a_points,
+                                                           side):
+        # 1e308 times a squared singular value above 1 is not a float
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(pair_json(lower=1e308, upper=1e308)))
+        assert run(["construct", "--N", "4", "--A", a_points, "--J", "0,1",
+                    "--base", str(base)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("input error: predicted %s constant overflows: 1e+308 * " % side)
 
     def test_missing_file(self, capsys):
         assert run(["construct", "--N", "4", "--A", "0,2", "--J", "0,1",
@@ -327,6 +341,34 @@ class TestSearchCommand:
         assert "meta" in records[-1]
         pairs = [r for r in records if "meta" not in r]
         assert all(r["classification"]["kind"] == "orthogonal-basis" for r in pairs)
+
+
+# the 18 benchmark reference queries (N, d, k, kind)
+SEARCH_QUERIES = [(n, d, k, kind) for kind in ("orthogonal", "riesz") for n, d, k in (
+    (8, 1, 4), (9, 1, 4), (10, 1, 4), (11, 1, 3), (12, 1, 3), (15, 1, 3),
+    (3, 2, 3), (3, 2, 4), (4, 2, 3))]
+
+
+def search_digest(tmp_path, queries, *flags):
+    """sha256 of the bytes search writes for each query, one after another."""
+    digest, out = hashlib.sha256(), tmp_path / "s.jsonl"
+    for n, d, k, kind in queries:
+        argv = ["search", "--N", str(n), "--d", str(d), "--k", str(k), "--kind", kind, *flags]
+        assert run(argv + ["--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
+class TestSearchBytes:
+    """Every match, its order and each float of its classification, pinned as bytes."""
+
+    def test_reference_queries(self, tmp_path):
+        digest = search_digest(tmp_path, SEARCH_QUERIES)
+        assert digest == "fb16448eb21695a3d3b8e73a4446283e72515a4e708506ba76afe37137bfa23a"
+
+    def test_seeded_sampled_query(self, tmp_path):
+        digest = search_digest(tmp_path, [(40, 1, 3, "riesz")], "--seed", "7")
+        assert digest == "5a53b3cf3817a363966aae52648a4d22885935ef89429d902994053da60971c7"
 
 
 class TestFigures:

@@ -8,14 +8,26 @@ Two moves of Z_N^d keep what the classification sees:
 - a translation: A + t multiplies row s of F by omega^{j_s . t}, J + t
   multiplies column r by omega^{t . a_r}; unimodular diagonal factors keep
   the singular values and unitarity, hence the kind.
+
+Transposition keeps the kind of a basis too: F^T is invertible or
+unitary up to scale exactly when F is.  And the stacked rule, which
+evaluates the unitary defect only where the squared singular values lie
+close enough together for it to pass, classifies every stack as the rule
+that evaluates the defect everywhere does, bit for bit.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_search import classify_stacked as reference_classify_stacked
 
-from spectralpairs import FiniteSet, classify_finite_pair
+from spectralpairs import (FiniteSet, PairKind, SymmetryUndefinedError, build_evaluation_matrix,
+                           classify_finite_pair, transpose_pair)
+from spectralpairs._exact import cis
+from spectralpairs.finite_pairs import TOLERANCES, _classify_stacked
 
 
 def bits(c):
@@ -27,13 +39,13 @@ def _point(index, n, d):
 
 
 @st.composite
-def pairs(draw):
-    """(A, J) in Z_N^d with N <= 12, d <= 2, 1 <= #A <= 4 and #A <= #J <= #A + 2."""
+def pairs(draw, extra=2):
+    """(A, J) in Z_N^d with N <= 12, d <= 2, 1 <= #A <= 4 and #A <= #J <= #A + extra."""
     d = draw(st.integers(1, 2))
     n = draw(st.integers(1, 12))
     size = n**d
     k = draw(st.integers(1, min(4, size)))
-    m = draw(st.integers(k, min(k + 2, size)))
+    m = draw(st.integers(k, min(k + extra, size)))
     a, j = (
         FiniteSet(n, d, tuple(_point(i, n, d) for i in draw(
             st.lists(st.integers(0, size - 1), min_size=c, max_size=c, unique=True))))
@@ -66,3 +78,77 @@ def test_translations_keep_the_kind(pair, data):
     assert classify_finite_pair(a.translate(s), j).kind is kind
     assert classify_finite_pair(a, j.translate(t)).kind is kind
 
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(extra=0))
+def test_transposition_keeps_the_basis_kind(pair):
+    a, j = pair
+    kind = classify_finite_pair(a, j).kind
+    if not kind.at_least(PairKind.RIESZ_BASIS):
+        with pytest.raises(SymmetryUndefinedError):
+            transpose_pair(a, j)
+        return
+    assert transpose_pair(a, j) == (j, a)
+    assert classify_finite_pair(j, a).kind is kind
+
+
+@st.composite
+def phase_stacks(draw):
+    """A stack of evaluation matrices cis(-P, N), P = J A^T mod N, of pairs in Z_N^d with
+    N <= 64, d <= 2, #A = k <= 5 and #J = k (square) or up to k + 2 (tall); a square
+    stack mixes in Fourier pairs (A on the multiples of N/k, J a residue system mod k),
+    which are orthogonal."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.one_of(st.integers(1, 6), st.integers(1, 64)))  # small N: singular pairs too
+    k = draw(st.integers(1, min(5, n**d)))
+    m = draw(st.sampled_from([k, min(k + 2, n**d)]))
+
+    def points(c):
+        codes = draw(st.lists(st.integers(0, n**d - 1), min_size=c, max_size=c, unique=True))
+        return np.array([_point(i, n, d) for i in codes])
+
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, j = points(k), points(m)
+        if m == k and n % k == 0 and draw(st.booleans()):
+            a[:] = 0
+            a[:, 0] = np.arange(k) * (n // k)
+            j[:, 0] = np.arange(k) + k * np.array(draw(
+                st.lists(st.integers(0, n // k - 1), min_size=k, max_size=k)))
+        stack.append(cis(-(j @ a.T % n), n))
+    return np.stack(stack)
+
+
+def assert_same_classification(f):
+    for least in PairKind:
+        got, want = _classify_stacked(f, least), reference_classify_stacked(f, least)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(phase_stacks())
+def test_skipped_defects_change_no_classification(f):
+    assert_same_classification(f)
+
+
+# two pairs whose defect is evaluated: at N = 2^40 + 15 the defect 2.9e-12 passes and the
+# spread of sigma^2 is 5.7e-12 (the strict xfails in test_finite_pairs record that the
+# pair is not orthogonal); the 36 x 36 level-1 pair of a 6 x 6 tiling in Z_12^2
+LARGE_N = 2**40 + 15
+GRID = [(x, y) for x in range(6) for y in range(6)]
+
+
+@pytest.mark.parametrize(
+    "a,j",
+    [
+        (FiniteSet.from_ints(LARGE_N, [0, 1]), FiniteSet.from_ints(LARGE_N, [0, LARGE_N // 2])),
+        (FiniteSet(12, 2, [(2 * x, 2 * y) for x, y in GRID]),
+         FiniteSet(12, 2, [(x + 5, y + 3) for x, y in GRID])),
+    ],
+    ids=["large-prime-pair", "tiling-level-1"],
+)
+def test_skipped_defects_pinned_pairs(a, j):
+    f = build_evaluation_matrix(a, j).entries[None]
+    assert_same_classification(f)
+    _, lower, upper, _, _ = _classify_stacked(f)
+    assert upper - lower <= 4 * len(a) * TOLERANCES.unitary

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,30 @@ class TestFiniteSet:
         s = FiniteSet(np.int64(4), np.int64(1), ((np.int64(6),),))
         assert s == FiniteSet.from_ints(4, [2])
         assert all(type(x) is int for x in (s.modulus, s.dimension, *s.points[0]))
+
+    def test_integer_scalars_are_one_dimensional_points(self):
+        s = FiniteSet(4, 1, (np.int64(2), np.uint8(3)))
+        assert s == FiniteSet(4, 1, (2, 3))
+        assert s.translate(np.int64(1)) == s.translate(1)
+        assert symbol_of_set(s, np.int64(1)) == symbol_of_set(s, 1)
+        rows = FiniteSet(4, 2, np.array([[0, 1], [2, 3]]))  # an array row is a point
+        assert rows == FiniteSet(4, 2, ((0, 1), (2, 3)))
+        assert rows.translate(np.array([1, 1])) == rows.translate((1, 1))
+        with pytest.raises(TypeError):
+            FiniteSet(4, 1, (2.0,))
+        with pytest.raises(TypeError):
+            s.translate(1.0)
+        for k in (1.0, (1.5,)):
+            with pytest.raises(TypeError):
+                symbol_of_set(s, k)
+
+    def test_json_points_are_the_stored_tuple(self):
+        s = FiniteSet(4, 2, ((0, 0), (2, 1)))
+        data = s.to_json_dict()
+        assert data["points"] is s.points
+        assert FiniteSet.from_json_dict(data) == s
+        assert FiniteSet.from_json_dict(json.loads(json.dumps(data))) == s
+        assert json.dumps(data) == '{"N": 4, "d": 2, "points": [[0, 0], [2, 1]]}'
 
 
 class TestEvaluationMatrix:
