@@ -189,7 +189,7 @@ def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
     shift it reduces to, mod #J.  The layout is checked exactly first, so
     a spectrum built any other way raises instead of mislabelling points.
     """
-    m, n, d = len(j), len(spec.shifts), spec.dimension
+    m, n, d = len(j), len(spec._nums) - spec.dimension, spec.dimension
     tips, scale = _numerators(points, d)
     den = math.lcm(spec._den, j.modulus, scale)
     nums = _scaled(spec._nums, spec._den, den)
@@ -258,10 +258,11 @@ def reconstruct_function(
     if grid.ndim != 2 or grid.shape[1] != dom.dimension:
         raise ShapeMismatchError("evaluation grid must be (m, %d) points" % dom.dimension)
 
-    corners = _exact.ratio(_translates(dual.base_domain, dual.a)[0], dual.base_domain._den)
+    base = dual.base_domain
+    corners = _exact.ratio(_translates(base, dual.a)[0], base._den)
     inside = np.all((corners[0::2, None] <= grid) & (grid < corners[1::2, None]), axis=2)
     # the first translate holding the point: boxes are translate-major
-    piece = np.where(inside.any(axis=0), inside.argmax(axis=0) // len(dual.base_domain.boxes), -1)
+    piece = np.where(inside.any(axis=0), inside.argmax(axis=0) // (len(base._corners) // 2), -1)
 
     freq = np.array([[float(c) for c in p] for p in points])
     phases = np.exp(2j * np.pi * (grid @ freq.T))

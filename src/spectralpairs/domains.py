@@ -290,7 +290,7 @@ def _translates(base: BoxDomain, a: FiniteSet) -> tuple[np.ndarray, OverlapError
     (integer translates keep it least), and the error naming the first pair of copies, in
     the order of A, that overlap with positive measure (None when they are disjoint)."""
     _same_dimension("domain", base, a)
-    d, den, m = base.dimension, base._den, len(base.boxes)
+    d, den, m = base.dimension, base._den, len(base._corners) // 2
     bound = _top(base._corners) + a.modulus * den
     offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
     corners = (offsets + int_array(base._corners, bound)).reshape(-1, d)

@@ -98,7 +98,9 @@ class FiniteSet:
         return len(self.points)
 
     def translate(self, t) -> "FiniteSet":
-        t = (t,) if isinstance(t, Integral) else tuple(t)
+        t, d = tuple(map(operator.index, (t,) if isinstance(t, Integral) else t)), self.dimension
+        if len(t) != d:
+            raise DimensionMismatchError("shift %r does not have dimension %d" % (t, d))
         pts = tuple(tuple((c + dt) % self.modulus for c, dt in zip(p, t)) for p in self.points)
         return FiniteSet(self.modulus, self.dimension, pts)
 

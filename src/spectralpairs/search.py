@@ -17,6 +17,7 @@ with one P share a ``FiniteClassification``, and only matches get
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ class SearchQuery:
     samples: int = 2000  # random pairs examined when not exhaustive
 
     def __post_init__(self):
+        names = "modulus", "dimension", "cardinality", "max_results", "samples", "seed"
+        vars(self).update({k: operator.index(v) for k in names if (v := vars(self)[k]) is not None})
         for name in ("modulus", "dimension"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be a positive integer" % name)

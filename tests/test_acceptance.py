@@ -54,10 +54,6 @@ def best_of(calls: int, fn) -> float:
     return best
 
 
-def unit_base() -> ContinuousPair:
-    return ContinuousPair.orthogonal(BoxDomain.interval(0, 1), integer_lattice(1))
-
-
 def test_01_unitary_pair_classification():
     failures = []
     a = FiniteSet.from_ints(4, [0, 2])
@@ -77,10 +73,10 @@ def test_01_unitary_pair_classification():
     conclude(1, "2x2 unitary pair: orthogonal, constants 2 = 2, symmetric, < 1 ms", failures)
 
 
-def test_02_two_interval_gram_is_scaled_identity():
+def test_02_two_interval_gram_is_scaled_identity(unit_base):
     failures = []
     result = combine_orthogonal(
-        unit_base(), FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
+        unit_base, FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
     )
     if not result.ok:
         failures.append("combination unexpectedly failed")
@@ -124,12 +120,11 @@ def test_03_root_condition_necessity_exhibited():
     )
 
 
-def test_04_truncated_bounds_inside_predicted_constants():
+def test_04_truncated_bounds_inside_predicted_constants(unit_base):
     failures = []
     a = FiniteSet.from_ints(5, [0, 2])
     j = FiniteSet.from_ints(5, [0, 1])
-    base = unit_base()
-    result = combine_riesz(base, a, j)
+    result = combine_riesz(unit_base, a, j)
     if not result.ok:
         failures.append("combination failed")
     predicted_low = result.predicted_lower  # alpha*c with alpha = 1
@@ -149,9 +144,8 @@ def test_04_truncated_bounds_inside_predicted_constants():
     )
 
 
-def test_05_dual_basis_biorthogonality_and_self_duality():
+def test_05_dual_basis_biorthogonality_and_self_duality(unit_base):
     failures = []
-    base1 = unit_base()
     # two-dimensional pair: translates (0,0), (2,0); shifts (0,0), (1,0)/4
     dom2 = BoxDomain.from_boxes([((0, 0), (1, 1))])
     a2 = FiniteSet(4, 2, ((0, 0), (2, 0)))
@@ -161,7 +155,7 @@ def test_05_dual_basis_biorthogonality_and_self_duality():
         failures.append("planar defect %e" % defect2)
     a5 = FiniteSet.from_ints(5, [0, 2])
     j5 = FiniteSet.from_ints(5, [0, 1])
-    defect5 = verify_biorthogonality(base1.domain, base1.spectrum, a5, j5, 3)
+    defect5 = verify_biorthogonality(unit_base.domain, unit_base.spectrum, a5, j5, 3)
     if defect5 >= 1e-8:
         failures.append("golden-ratio pair defect %e" % defect5)
     unitary = hadamard_report(FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1]))
@@ -265,22 +259,21 @@ def test_08_exhaustive_search_small_moduli():
     )
 
 
-def test_09_bessel_bounds_and_tight_subcase():
+def test_09_bessel_bounds_and_tight_subcase(unit_base):
     failures = []
-    base = unit_base()
     a = FiniteSet.from_ints(5, [0, 2])
     j = FiniteSet.from_ints(5, [0, 1])
-    per_translate = len(j) * base.upper  # #J C, C the base Bessel constant
-    coarse = len(a) * len(j) * float(base.domain.measure)  # #A #J |Omega_1|
+    per_translate = len(j) * unit_base.upper  # #J C, C the base Bessel constant
+    coarse = len(a) * len(j) * float(unit_base.domain.measure)  # #A #J |Omega_1|
 
-    spec = shift_spectrum(base.spectrum, j, 5)
+    spec = shift_spectrum(unit_base.spectrum, j, 5)
     points = enumerate_spectrum(spec, 4)
-    dom = minkowski_translate(base.domain, a)
+    dom = minkowski_translate(unit_base.domain, a)
     full_gram = build_gram(dom, spec, 4).entries
     n = len(points)
     translate_grams = []
     for p in a.points:
-        piece = base.domain.translate(p)
+        piece = unit_base.domain.translate(p)
         g = np.empty((n, n), dtype=complex)
         for i in range(n):
             for k in range(n):

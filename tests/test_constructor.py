@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import indexed_sets
 
 from spectralpairs import (
     BoxDomain,
@@ -289,3 +292,38 @@ class TestPredictedConstants:
         eigs = gram.eigenvalues()
         assert eigs[0] >= result.predicted_lower - 1e-9
         assert eigs[-1] <= result.predicted_upper + 1e-9
+
+
+@st.composite
+def combinations(draw):
+    """[0,1)^d with Z^d claimed as any kind with drawn constants, and (A, J) in Z_N^d with
+    #J on both sides of #A."""
+    d = draw(st.integers(1, 2))
+    lower, upper = sorted(draw(st.floats(1e-3, 1e3)) for _ in range(2))
+    base = ContinuousPair(unit_box(d), integer_lattice(d), draw(st.sampled_from(PairKind)),
+                          lower, upper)
+    n = draw(st.integers(1, 12 if d == 1 else 4))
+    k = draw(st.integers(1, min(4, n**d)))
+    m = draw(st.integers(max(1, k - 1), min(k + 2, n**d)))
+    return base, draw(indexed_sets(n, d, k)), draw(indexed_sets(n, d, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(combinations())
+def test_predicted_constants_are_the_exact_products(case):
+    """Bit for bit, for each target: base constant times finite constant, and the combined
+    pair carries them when every hypothesis holds; NaN when #J rules out the target."""
+    base, a, j = case
+    for combine in (combine_frame, combine_riesz, combine_orthogonal):
+        result = combine(base, a, j)
+        predicted = result.predicted_lower, result.predicted_upper
+        if result.finite is None:
+            assert all(map(math.isnan, predicted))
+            continue
+        finite = classify_finite_pair(a, j)
+        assert result.finite == finite
+        assert [x.hex() for x in predicted] == [
+            (base.lower * finite.lower).hex(), (base.upper * finite.upper).hex()]
+        if result.ok:
+            assert [result.pair.lower.hex(), result.pair.upper.hex()] == [
+                x.hex() for x in predicted]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import rational_geometry as ref
+import reference as ref
 
 from spectralpairs import (
     BoxDomain,

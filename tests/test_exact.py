@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from rational_geometry import dot, inverse, lattice_point, reduce_mod_lattice, solve
-from scalar_phases import cis as scalar_cis
+from reference import (dot, inverse, lattice_point, reduce_mod_lattice, reference_cis,
+                       reference_evaluation_matrix, solve)
 
 from spectralpairs import FiniteSet, build_evaluation_matrix
 from spectralpairs._exact import adjugate, cis, int_array, mul, over_2pi_i
@@ -28,8 +28,7 @@ def test_cis_matches_direct_evaluation():
             q = float(Fraction(num, den))
             direct = complex(math.cos(2 * math.pi * q), math.sin(2 * math.pi * q))
             assert abs(z - direct) < 1e-14
-        reference = np.array([scalar_cis(Fraction(num, den)) for num in nums.tolist()])
-        assert got.tobytes() == reference.tobytes()
+        assert got.tobytes() == reference_cis(nums, den).tobytes()
 
 
 def test_omega_power_reduces_exponent():
@@ -64,9 +63,7 @@ def test_products_past_2_62_take_python_ints():
     a = FiniteSet(n, 2, ((n - 1, 3), (5, n - 2), (2**39, 1)))
     j = FiniteSet(n, 2, ((n - 7, 1), (2, 2**39)))
     got = build_evaluation_matrix(a, j).entries
-    reference = np.array([[scalar_cis(Fraction(-sum(x * y for x, y in zip(jp, ap)), n))
-                           for ap in a.points] for jp in j.points])
-    assert got.tobytes() == reference.tobytes()
+    assert got.tobytes() == reference_evaluation_matrix(a, j).tobytes()
 
 
 def test_complex_arithmetic_rounds_like_python():

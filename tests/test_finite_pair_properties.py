@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_search import classify_stacked as reference_classify_stacked
+from reference import classify_stacked as reference_classify_stacked
 
 from spectralpairs import (FiniteSet, PairKind, SymmetryUndefinedError, build_evaluation_matrix,
                            classify_finite_pair, transpose_pair)
@@ -30,7 +30,7 @@ from spectralpairs._exact import cis
 from spectralpairs.finite_pairs import TOLERANCES, _classify_stacked
 
 
-def bits(c):
+def classification_bits(c):
     return c.kind, c.lower.hex(), c.upper.hex(), c.condition_number.hex()
 
 
@@ -65,7 +65,7 @@ def test_units_keep_the_classification_bit_for_bit(pair, data):
     n = a.modulus
     u = data.draw(st.sampled_from([u for u in range(1, n + 1) if math.gcd(u, n) == 1]))
     moved = classify_finite_pair(_scaled(a, u), _scaled(j, pow(u, -1, n)))
-    assert bits(moved) == bits(classify_finite_pair(a, j))
+    assert classification_bits(moved) == classification_bits(classify_finite_pair(a, j))
 
 
 @settings(max_examples=40, deadline=None)

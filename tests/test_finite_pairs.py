@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import reference_symbol
 
 from spectralpairs import (
     BoxDomain,
@@ -23,8 +24,6 @@ from spectralpairs import (
     verify_alias_cancellation,
 )
 from spectralpairs.finite_pairs import TOLERANCES, _checked_inverse, _classify_stacked
-from scalar_phases import cis
-from fractions import Fraction
 
 
 class TestFiniteSet:
@@ -84,6 +83,17 @@ class TestFiniteSet:
         for k in (1.0, (1.5,)):
             with pytest.raises(TypeError):
                 symbol_of_set(s, k)
+
+    def test_translate_checks_the_shift(self):
+        s = FiniteSet(4, 2, ((0, 0), (1, 2)))
+        assert s.translate((1, 3)).points == ((1, 3), (2, 1))
+        # too long (the 3 was once dropped), too short, a scalar in 2-d: the shift is named
+        for shift, text in (((1, 1, 3), "(1, 1, 3)"), ((1,), "(1,)"), (1, "(1,)")):
+            with pytest.raises(DimensionMismatchError) as err:
+                s.translate(shift)
+            assert str(err.value) == "shift %s does not have dimension 2" % text
+        with pytest.raises(TypeError):
+            s.translate((1, 1.5))
 
     def test_json_points_are_the_stored_tuple(self):
         s = FiniteSet(4, 2, ((0, 0), (2, 1)))
@@ -318,9 +328,7 @@ class TestSymbol:
             j = FiniteSet.from_ints(n, pts[: min(len(pts), n)])
             for jj in range(n):
                 for jq in range(n):
-                    brute = sum(
-                        cis(Fraction((jj - jq) * z, n)) for (z,) in j.points
-                    )
+                    brute = reference_symbol(j, jq - jj)
                     assert abs(symbol_of_set(j, jq - jj) - brute) < 1e-12
 
     def test_dimension_checked(self):

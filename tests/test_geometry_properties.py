@@ -2,23 +2,25 @@
 
 ``Spectrum`` reduction, ``enumerate_spectrum``, ``root_of_unity_condition``,
 ``BoxDomain.intersection_measure`` and ``analytics._shift_tags`` decide on
-integer numerators over one denominator.  The references in
-``rational_geometry`` are the Fraction functions they replaced.  Results,
-their order and the text of every error must be the same.  The builders
-``minkowski_translate``, ``BoxDomain.translate``, ``shift_spectrum`` and
-``cartesian_product`` skip the constructors' coercion; what they build must
-equal a rebuild through the public constructors from Fractions.  Each check also has one
-pinned case with integers past 2**62, which takes the Python-int path of
+integer numerators over one denominator.  The references in ``reference``
+are the Fraction functions they replaced.  Results, their order and the
+text of every error must be the same.  The builders ``minkowski_translate``,
+``BoxDomain.translate``, ``shift_spectrum`` and ``cartesian_product`` skip
+the constructors' coercion; what they build must equal a rebuild through the
+public constructors from Fractions.  Each check also has one pinned case
+with integers past 2**62, which takes the Python-int path of
 ``_exact.int_array``.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
-import rational_geometry as ref
+import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import fraction_minkowski, fraction_product, fraction_shift
+from strategies import (BIG, RADII, SMALL_RATIONALS, box_domains, pinned_past_2_62, sheared_bases,
+                        sheared_spectra, small_sets)
 
 from spectralpairs import (
     BoxDomain,
@@ -41,40 +43,6 @@ from spectralpairs import (
 from spectralpairs.analytics import _shift_tags
 from spectralpairs.domains import _numerators
 
-RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-SHEARS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
-NONZERO = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
-    lambda x: st.sampled_from([x, -x])
-)
-BIG = 2**63 + 1
-
-
-@st.composite
-def sheared_bases(draw, d):
-    """Generators G = L U, L unit lower and U upper triangular, with rational entries."""
-    diag = [draw(NONZERO) for _ in range(d)]
-    lower = [[Fraction(int(i == k)) if i <= k else draw(SHEARS) for k in range(d)]
-             for i in range(d)]
-    upper = [[diag[i] if i == k else draw(SHEARS) if i < k else Fraction(0)
-              for k in range(d)] for i in range(d)]
-    return tuple(tuple(sum(lower[i][m] * upper[m][k] for m in range(d)) for k in range(d))
-                 for i in range(d))
-
-
-@st.composite
-def spectra(draw, d=None):
-    """A sheared lattice with 1-4 shifts, distinct modulo the lattice."""
-    d = d or draw(st.integers(1, 2))
-    basis, shifts = draw(sheared_bases(d)), []
-    for _ in range(draw(st.integers(1, 4))):
-        v = draw(st.tuples(*[RATIONALS] * d))
-        try:
-            Spectrum(d, basis, (*shifts, v))
-            shifts.append(v)
-        except DuplicateSpectrumError:
-            pass
-    return Spectrum(d, basis, tuple(shifts))
-
 
 def outcome(fn, *args):
     """The value of fn(*args), or the type and text of the error it raises."""
@@ -84,14 +52,26 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-RADII = st.sampled_from([0, Fraction(1, 2), 1, Fraction(5, 3), 2, 3]).map(Fraction)
+PLAIN_OR_ITERATED = st.one_of(
+    sheared_spectra().map(lambda s: (s, [])),
+    st.integers(1, 2).flatmap(lambda d: st.tuples(
+        sheared_spectra(d), st.lists(small_sets(d), max_size=2))),
+)
 
 
-@settings(max_examples=100, deadline=None)
-@given(spectra(), RADII)
-def test_enumerate_spectrum_agrees_with_fraction_path(s, radius):
+@settings(max_examples=200, deadline=None)
+@given(PLAIN_OR_ITERATED, RADII)
+def test_enumerate_spectrum_agrees_with_fraction_path(case, radius):
+    """Plain spectra, and iterated ones (shifts of shifts): the points of the Fraction
+    path, sorted, none repeated, every coordinate a Fraction."""
+    s, sets = case
+    for j in (j for j in sets if len(j)):
+        try:
+            s = shift_spectrum(s, j, j.modulus)
+        except DuplicateSpectrumError:
+            pass
     got = enumerate_spectrum(s, radius)
-    assert got == ref.enumerate_spectrum(s, radius)
+    assert got == sorted(set(got)) == ref.enumerate_spectrum(s, radius)
     assert all(type(c) is Fraction for p in got for c in p)
 
 
@@ -102,7 +82,7 @@ def reduction_cases(draw):
     basis = draw(sheared_bases(d))
     if draw(st.integers(0, 3)) == 0:
         basis = basis[:-1] + (tuple(2 * c for c in basis[0]),) if d > 1 else ((Fraction(0),),)
-    shifts = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=4))
+    shifts = draw(st.lists(st.tuples(*[SMALL_RATIONALS] * d), min_size=1, max_size=4))
     for _ in range(draw(st.integers(0, 3)) // 2):  # a shift plus a lattice vector
         z = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
         v = draw(st.sampled_from(shifts))
@@ -121,7 +101,7 @@ def test_spectrum_reduction_agrees_with_fraction_path(case):
 @st.composite
 def spectrum_and_set(draw, min_size=0):
     """A spectrum and a set of multiples of step in Z_N, N = step q."""
-    s = draw(spectra())
+    s = draw(sheared_spectra())
     step, q = draw(st.sampled_from([1, 2, 3, 6])), draw(st.integers(1, 4))
     points = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * s.dimension),
                            min_size=min_size, max_size=4, unique=True))
@@ -147,20 +127,8 @@ def test_shift_tags_agree_with_fraction_path(case, radius, laid_out):
     assert outcome(_shift_tags, spec, j, points) == outcome(ref.shift_tags, spec, j, points)
 
 
-@st.composite
-def domains(draw, d):
-    """1-5 disjoint boxes with rational corners."""
-    kept = []
-    for _ in range(draw(st.integers(1, 5))):
-        lo = draw(st.tuples(*[RATIONALS] * d))
-        hi = tuple(c + draw(NONZERO.map(abs)) for c in lo)
-        if all(not ref.box_overlap((lo, hi), box) for box in kept):
-            kept.append((lo, hi))
-    return BoxDomain(d, tuple(kept))
-
-
 def domain_pairs():
-    return st.integers(1, 3).flatmap(lambda d: st.lists(domains(d), min_size=2, max_size=2))
+    return st.integers(1, 3).flatmap(lambda d: st.lists(box_domains(d), min_size=2, max_size=2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,26 +213,6 @@ def built(make):
     return x, x.to_json_dict()
 
 
-def fraction_minkowski(dom, a):
-    """``minkowski_translate`` through the constructor, naming the first overlapping translates."""
-    boxes = tuple((ref.vec_add(lo, p), ref.vec_add(hi, p)) for p in a.points for lo, hi in dom.boxes)
-    m = len(dom.boxes)
-    meets = [(i // m, k // m) for i, k in itertools.combinations(range(len(boxes)), 2)
-             if ref.box_overlap(boxes[i], boxes[k])]
-    if meets:
-        i, k = min(meets)
-        raise OverlapError("translates by %s and %s overlap with positive measure"
-                           % (a.points[i], a.points[k]), offending=(a.points[i], a.points[k]))
-    return BoxDomain(dom.dimension, boxes)
-
-
-def fraction_shift(spec, j):
-    """``shift_spectrum`` through the constructor."""
-    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
-    return Spectrum(spec.dimension, spec.basis,
-                    tuple(ref.vec_add(v, o) for v in spec.shifts for o in offsets))
-
-
 def check_builders(dom, spec, sets, v):
     """translate, then A1, A2 and J1, J2 applied in turn, against the constructor rebuilds;
     the zero vector and the set {0} too, which leave the denominator as it is."""
@@ -291,28 +239,11 @@ def check_builders(dom, spec, sets, v):
         spec = got[0]
 
 
-@st.composite
-def finite_sets(draw, d):
-    n = draw(st.integers(1, 6))
-    points = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * d), max_size=4, unique=True))
-    return FiniteSet(n, d, tuple(points))
-
-
-def _pinned_past_2_62():
-    eps = Fraction(1, BIG)
-    dom = BoxDomain(2, (((eps, 0), (1, Fraction(1, 2))), ((0, Fraction(1, 2)), (1 - eps, 1))))
-    basis = ((Fraction(BIG, 2**63), Fraction(1, 3)), (Fraction(1, 5), Fraction(BIG, 2**64)))
-    spec = Spectrum(2, basis, ((Fraction(1, 3), Fraction(-2, 7)),))
-    sets = [FiniteSet(4, 2, ((0, 0), (1, 1), (2, 0))), FiniteSet(8, 2, ((0, 0), (1, 1))),
-            FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1))), FiniteSet(3, 2, ((0, 0), (1, 0)))]
-    return dom, spec, sets, (Fraction(1, BIG + 2), Fraction(-1, 3))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
-    domains(d), spectra(d), st.lists(finite_sets(d), min_size=4, max_size=4),
-    st.tuples(*[RATIONALS] * d))))
-@example(_pinned_past_2_62())
+    box_domains(d), sheared_spectra(d), st.lists(small_sets(d), min_size=4, max_size=4),
+    st.tuples(*[SMALL_RATIONALS] * d))))
+@example(pinned_past_2_62())
 @example((BoxDomain(1, ((("1/2",), ("3/2",)),)), Spectrum(1, (("1/2",),), (("1/4",),)),
           [FiniteSet.from_ints(4, [0, 1]), FiniteSet.from_ints(4, [0, 2]),
            FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(2, [0, 1])], (Fraction(1, 2),)))
@@ -320,28 +251,16 @@ def test_builders_match_the_fraction_constructors(case):
     check_builders(*case)
 
 
-def fraction_product(p1, p2):
-    """``cartesian_product`` through the public constructors, as it was built before it
-    wrote the integer forms itself."""
-    d1, d2 = p1.domain.dimension, p2.domain.dimension
-    boxes = tuple((lo1 + lo2, hi1 + hi2) for (lo1, hi1) in p1.domain.boxes
-                  for (lo2, hi2) in p2.domain.boxes)
-    zero1, zero2 = (Fraction(0),) * d1, (Fraction(0),) * d2
-    basis = tuple(g + zero2 for g in p1.spectrum.basis)
-    basis += tuple(zero1 + g for g in p2.spectrum.basis)
-    shifts = tuple(s1 + s2 for s1, s2 in itertools.product(p1.spectrum.shifts, p2.spectrum.shifts))
-    return BoxDomain(d1 + d2, boxes), Spectrum(d1 + d2, basis, shifts)
-
-
 def _pinned_product_past_2_62():
-    dom, spec, _, _ = _pinned_past_2_62()
+    dom, spec, _, _ = pinned_past_2_62()
     other = BoxDomain(1, (((Fraction(-1, BIG),), (0,)), ((1,), (Fraction(BIG, 3),))))
     return dom, spec, other, Spectrum(1, ((Fraction(2, BIG),),), ((0,), (Fraction(1, BIG),)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
-    lambda ds: st.tuples(domains(ds[0]), spectra(ds[0]), domains(ds[1]), spectra(ds[1]))))
+    lambda ds: st.tuples(box_domains(ds[0]), sheared_spectra(ds[0]),
+                         box_domains(ds[1]), sheared_spectra(ds[1]))))
 @example(_pinned_product_past_2_62())
 def test_cartesian_product_matches_the_fraction_constructors(case):
     dom1, spec1, dom2, spec2 = case

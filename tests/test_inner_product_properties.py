@@ -2,19 +2,21 @@
 
 ``build_gram``, ``estimate_frame_bounds``, ``verify_biorthogonality`` and
 ``exp_inner_product`` evaluate <e_lam, e_mu> over a box union through one
-array kernel.  The references below are the per-entry scalar path it
+array kernel.  The references in ``reference`` are the per-entry scalar path it
 replaced: the closed form per axis and box, multiplied into
 ``complex(1.0)`` and summed box by box, one entry at a time.  The kernel
 must reproduce those floats bit for bit, not just to a tolerance.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import (fraction_window_bounds, reference_biorthogonality, reference_bounds,
+                       reference_gram, reference_inner_product)
+from strategies import RATIONALS, WIDE_RADII, bits, diagonal_spectra, slab_domains
 
 from spectralpairs import (
     BoxDomain,
@@ -34,112 +36,6 @@ from spectralpairs import (
     shift_spectrum,
     verify_biorthogonality,
 )
-from scalar_phases import cis
-from spectralpairs.analytics import _shift_tags
-
-RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-
-
-def reference_interval_factor(nu, lo, hi):
-    """Integral of e^{2 pi i nu x} over [lo, hi)."""
-    if nu == 0:
-        return complex(float(hi - lo))
-    return (cis(nu * hi) - cis(nu * lo)) / (2j * math.pi * float(nu))
-
-
-def reference_inner_product(dom, lam, mu):
-    nu = tuple(a - b for a, b in zip(lam, mu))
-    total = 0j
-    for lo, hi in dom.boxes:
-        term = complex(1.0)
-        for k in range(dom.dimension):
-            term *= reference_interval_factor(nu[k], lo[k], hi[k])
-        total += term
-    return total
-
-
-def reference_gram(dom, spec, radius):
-    points = enumerate_spectrum(spec, radius)
-    n = len(points)
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        entries[i, i] = reference_inner_product(dom, points[i], points[i])
-        for k in range(i + 1, n):
-            val = reference_inner_product(dom, points[i], points[k])
-            entries[i, k] = val
-            entries[k, i] = val.conjugate()
-    return entries
-
-
-def reference_bounds(dom, spec, radii):
-    out = []
-    for r in radii:
-        eigs = np.linalg.eigvalsh(reference_gram(dom, spec, r))
-        low = float(eigs[0])
-        out.append((0.0 if low < 1e-12 else low, float(eigs[-1])))
-    return out
-
-
-def fraction_window_bounds(dom, spec, radii):
-    """The window selection that integer sup norms replaced: one Gram matrix at the
-    largest radius, then per radius the points whose ``Fraction`` sup norm is within it."""
-    gram = build_gram(dom, spec, radii[-1])
-    norms = [max(map(abs, p)) for p in gram.points]
-    out = []
-    for r in map(Fraction, radii):
-        keep = [i for i, s in enumerate(norms) if s <= r]
-        eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
-        out.append((0.0 if eigs[0] < 1e-12 else float(eigs[0]), float(eigs[-1])))
-    return out
-
-
-def reference_biorthogonality(dom1, spec, a, j, radius):
-    coeff = DualBasis.build(dom1, a, j).piece_coefficients
-    translates = [dom1.translate(p) for p in a.points]
-    measure = float(dom1.measure) * len(a)
-    combined = shift_spectrum(spec, j, j.modulus)
-    points = enumerate_spectrum(combined, radius)
-    tags = _shift_tags(combined, j, points)
-    defect = 0.0
-    for mu, s_mu in zip(points, tags):
-        for nu in points:
-            value = 0j
-            for r in range(len(a.points)):
-                value += coeff[r, s_mu] * reference_inner_product(translates[r], mu, nu)
-            target = measure if mu == nu else 0.0
-            defect = max(defect, abs(value - target))
-    return defect
-
-
-def bits(z):
-    return np.array(z, dtype=complex).tobytes()
-
-
-@st.composite
-def domains(draw, dimension):
-    """Up to four boxes, disjoint along the first axis, with rational corners."""
-    cuts = sorted(draw(st.sets(RATIONALS, min_size=2, max_size=8)))
-    boxes = []
-    for lo, hi in zip(cuts[::2], cuts[1::2]):
-        rest = [sorted(draw(st.sets(RATIONALS, min_size=2, max_size=2)))
-                for _ in range(dimension - 1)]
-        boxes.append(((lo, *(c[0] for c in rest)), (hi, *(c[1] for c in rest))))
-    return BoxDomain(dimension, tuple(boxes))
-
-
-@st.composite
-def spectra(draw, dimension):
-    """A lattice with positive rational diagonal (sheared in 2-d) and 1-3 shifts."""
-    scales = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(dimension)]
-    basis = [[scales[k] if i == k else Fraction(0) for k in range(dimension)]
-             for i in range(dimension)]
-    if dimension == 2:
-        basis[1][0] = draw(RATIONALS)
-    shifts = draw(st.lists(st.tuples(*[RATIONALS] * dimension), min_size=1, max_size=3))
-    try:
-        return Spectrum(dimension, tuple(map(tuple, basis)), tuple(shifts))
-    except DuplicateSpectrumError:
-        assume(False)
 
 
 @st.composite
@@ -147,7 +43,7 @@ def domain_and_spectrum(draw):
     d = draw(st.sampled_from([1, 2]))
     radius = draw(st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2, 3] if d == 1
                                   else [Fraction(1, 2), 1, Fraction(3, 2)]))
-    return draw(domains(d)), draw(spectra(d)), radius
+    return draw(slab_domains(d)), draw(diagonal_spectra(d)), radius
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,15 +64,8 @@ def test_nested_bounds_equal_per_radius_grams(case, first):
     assert estimate_frame_bounds(dom, spec, radii) == reference_bounds(dom, spec, radii)
 
 
-RADII = st.one_of(
-    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
-    # past 2**62 over one denominator: the sup norms compare as Python ints
-    st.builds(Fraction, st.integers(2**70, 3 * 2**70), st.just(2**70 + 1)),
-)
-
-
 @settings(max_examples=100, deadline=None)
-@given(domain_and_spectrum(), st.lists(RADII, min_size=1, max_size=3), st.data())
+@given(domain_and_spectrum(), st.lists(WIDE_RADII, min_size=1, max_size=3), st.data())
 def test_window_selection_equals_fraction_sup_norms(case, radii, data):
     """Bit for bit, with one radius at a point's sup norm: windows are closed."""
     dom, spec, _ = case
@@ -249,7 +138,7 @@ def test_wide_differences_keep_correctly_rounded_quotients(q, data):
 @given(st.data())
 def test_exp_inner_product_is_bit_identical(data):
     d = data.draw(st.sampled_from([1, 2]))
-    dom = data.draw(domains(d))
+    dom = data.draw(slab_domains(d))
     lam, mu = (data.draw(st.tuples(*[RATIONALS] * d)) for _ in range(2))
     got = exp_inner_product(dom, lam, mu)
     assert type(got) is complex
@@ -266,14 +155,14 @@ def biorthogonal_cases(draw):
     j = FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=k, max_size=k, unique=True))))
     try:
         DualBasis.build(BoxDomain.interval(0, 1), a, j)
-        spec = draw(spectra(d))
+        spec = draw(diagonal_spectra(d))
         shift_spectrum(spec, j, n)
     except (NonInvertibleError, DuplicateSpectrumError):
         assume(False)
     radius = draw(st.sampled_from([1, 2] if d == 1 else [Fraction(1, 2), 1]))
     combined = shift_spectrum(spec, j, n)
     assume(0 < len(enumerate_spectrum(combined, radius)) <= 40)
-    return draw(domains(d)), spec, a, j, radius
+    return draw(slab_domains(d)), spec, a, j, radius
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import reference_in_first_spectrum
 
 from spectralpairs import (
     BoxDomain,
@@ -33,11 +34,6 @@ UNIT = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), integer_lattice(1))
 @functools.lru_cache(maxsize=None)
 def orthogonal_pairs(n, k):
     return enumerate_pairs(SearchQuery(n, 1, k)).matches
-
-
-def reference_in_first_spectrum(x, j1):
-    """x in Z + J_1/N_1, decided exactly."""
-    return any((x - Fraction(p, j1.modulus)).denominator == 1 for (p,) in j1.points)
 
 
 @st.composite

@@ -1,0 +1,32 @@
+"""The layout of the test suite: every exact reference lives in ``reference.py`` and
+every shared strategy or pinned case in ``strategies.py``, so no test module imports
+another and none keeps a reference of its own.  A function named ``reference_*`` or
+``fraction_*`` is a reference by name.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+
+
+def offences(path: Path) -> list[str]:
+    """The test modules ``path`` imports and the references it defines."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # ``from . import test_x`` names no module
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            modules = []
+        found += ["imports %s" % m for m in modules if m.split(".")[0].startswith("test_")]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith(
+                ("reference_", "fraction_")):
+            found.append("defines %s" % node.name)
+    return found
+
+
+def test_no_test_module_imports_another_or_keeps_a_reference():
+    found = {path.name: offences(path) for path in sorted(TESTS.glob("test_*.py"))}
+    assert {name: what for name, what in found.items() if what} == {}

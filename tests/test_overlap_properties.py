@@ -1,47 +1,22 @@
 """Differential tests: the sort-and-sweep overlap test against pairwise scans.
 
 ``BoxDomain`` and ``minkowski_translate`` decide overlaps with one sweep
-along the first axis.  The references below are plain pairwise scans:
-every box pair in index order, and every translate pair in the order of
-A.  Both must accept the same inputs, and on overlap both must name the
-same pair with the same message.
+along the first axis.  The references in ``reference`` are plain pairwise
+scans: every box pair in index order, and every translate pair in the
+order of A.  Both must accept the same inputs, and on overlap both must
+name the same pair with the same message.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import box_overlap, fraction_minkowski, reference_first_box_pair
 
 from spectralpairs import BoxDomain, FiniteSet, OverlapError, minkowski_translate
 
 COORDS = st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 2, 3]))
-
-
-def reference_box_overlap(b1, b2):
-    return all(max(l1, l2) < min(h1, h2) for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]))
-
-
-def reference_first_box_pair(boxes):
-    for i in range(len(boxes)):
-        for k in range(i + 1, len(boxes)):
-            if reference_box_overlap(boxes[i], boxes[k]):
-                return i, k
-    return None
-
-
-def reference_minkowski(base, a):
-    """Pairwise-translate scan, then one union domain."""
-    translates = [base.translate(p) for p in a.points]
-    for (i, t1), (k, t2) in itertools.combinations(enumerate(translates), 2):
-        if t1.intersection_measure(t2) > 0:
-            raise OverlapError(
-                "translates by %s and %s overlap with positive measure"
-                % (a.points[i], a.points[k]),
-                offending=(a.points[i], a.points[k]),
-            )
-    return BoxDomain(base.dimension, tuple(box for t in translates for box in t.boxes))
 
 
 @st.composite
@@ -64,7 +39,7 @@ def domain_and_set(draw):
     d = draw(st.integers(1, 3))
     kept = []
     for box in draw(boxes(d)):  # greedily keep a valid base domain
-        if not any(reference_box_overlap(box, other) for other in kept):
+        if not any(box_overlap(box, other) for other in kept):
             kept.append(box)
     n = draw(st.integers(2, 8))
     points = draw(
@@ -94,7 +69,7 @@ def test_box_domain_agrees_with_pairwise_scan(bs):
 def test_minkowski_translate_agrees_with_translate_scan(case):
     base, a = case
     try:
-        expected = reference_minkowski(base, a)
+        expected = fraction_minkowski(base, a)
     except OverlapError as exc:
         expected = exc
     try:

@@ -3,42 +3,32 @@
 ``_exact.cis`` evaluates a table of residues in one numpy pass, and
 ``build_evaluation_matrix``, ``DualBasis.build`` and
 ``sample_signal`` evaluate every phase through it over whole
-integer arrays.  The references below are the per-entry paths they
-replaced, built on the scalar ``cis`` kept in ``scalar_phases``: one
+integer arrays.  The references in ``reference`` are the per-entry paths
+they replaced, built on its scalar ``cis``: one
 ``Fraction`` phase at a time, and the closed form of each sample in
 Python complex arithmetic.  The array code must reproduce those floats
 bit for bit, not just to a tolerance.
 """
 
-import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scalar_phases import cis
+from reference import (reference_cis, reference_evaluation_matrix, reference_piece_coefficients,
+                       reference_samples)
+from strategies import BELOW_2_62, bits, indexed_sets, sized_sets, slab_domains
 
 from spectralpairs import _exact
 from spectralpairs import (
     BandlimitedSignal,
     BoxDomain,
     DualBasis,
-    FiniteSet,
     NonInvertibleError,
     SamplePattern,
     build_evaluation_matrix,
     sample_signal,
 )
-from spectralpairs.finite_pairs import _checked_inverse
-
-RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-
-
-def reference_cis(nums, den):
-    """The scalar kernel on each numerator, in the shape of ``nums``."""
-    flat = [cis(Fraction(u, den)) for u in np.ravel(nums).tolist()]
-    return np.array(flat, dtype=complex).reshape(np.shape(nums))
 
 
 def check_cis(nums, den):
@@ -47,18 +37,15 @@ def check_cis(nums, den):
     assert got.tobytes() == reference_cis(nums, den).tobytes()
 
 
-INT64 = st.integers(-(2**62) + 1, 2**62 - 1)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2**53 - 1), st.lists(INT64, max_size=40))
+@given(st.integers(1, 2**53 - 1), st.lists(BELOW_2_62, max_size=40))
 def test_cis_int64_path_is_bit_identical(den, nums):
     """Residues and denominator below 2**53: one float64 quotient per residue."""
     check_cis(np.array(nums, dtype=np.int64), den)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2**53, 2**62), st.lists(INT64, max_size=40))
+@given(st.integers(2**53, 2**62), st.lists(BELOW_2_62, max_size=40))
 def test_cis_int64_input_past_2_53_is_bit_identical(den, nums):
     """int64 residues whose quotient float64 cannot form exactly: Python-int quotients."""
     check_cis(np.array(nums, dtype=np.int64), den)
@@ -117,70 +104,13 @@ def test_cis_empty_and_zero_dimensional_shapes():
             check_cis(np.array(u, dtype=dtype), den)
 
 
-def reference_evaluation_matrix(a, j):
-    n = a.modulus
-    entries = np.empty((len(j), len(a)), dtype=complex)
-    for s, jp in enumerate(j.points):
-        for r, ap in enumerate(a.points):
-            exponent = sum(jc * ac for jc, ac in zip(jp, ap))
-            entries[s, r] = cis(Fraction(-(exponent % n), n))
-    return entries
-
-
-def reference_piece_coefficients(f):
-    inv = _checked_inverse(f)
-    k = f.shape[1]
-    c = np.empty((k, k), dtype=complex)
-    for r in range(k):
-        for s in range(k):
-            c[r, s] = k * inv[r, s] * f[s, r]
-    return c
-
-
-def reference_box_transform(coeffs, lo, hi, t):
-    """integral over [lo, hi) of sum c_m (xi-lo)^m e^{2 pi i xi t} d xi, closed form."""
-    length = hi - lo
-    if t == 0:
-        lf = float(length)
-        return sum(c * lf ** (m + 1) / (m + 1) for m, c in enumerate(coeffs))
-    phase = cis(t * lo)
-    end = cis(t * length)
-    tw = 2j * math.pi * float(t)
-    lf = float(length)
-    moments = [(end - 1.0) / tw]
-    for m in range(1, len(coeffs)):
-        moments.append((lf**m * end - m * moments[m - 1]) / tw)
-    return phase * sum(c * moments[m] for m, c in enumerate(coeffs))
-
-
-def reference_samples(f, p):
-    out = []
-    for lam in p.points():
-        total = 0j
-        for (lo, hi), coeffs in zip(f.spectrum_domain.boxes, f.pieces):
-            total += reference_box_transform(coeffs, lo[0], hi[0], lam)
-        out.append(total)
-    return out
-
-
-def bits(values):
-    return np.array(values, dtype=complex).tobytes()
-
-
-@st.composite
-def finite_sets(draw, n, d, size):
-    elements = st.tuples(*[st.integers(0, n - 1)] * d)
-    return FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=size, max_size=size,
-                                                 unique=True))))
-
-
 @st.composite
 def finite_pairs(draw):
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 39 if d == 1 else 9))
     k = draw(st.integers(0, min(5, n**d)))
     m = draw(st.integers(k, min(k + 2, n**d)))
-    return draw(finite_sets(n, d, k)), draw(finite_sets(n, d, m))
+    return draw(sized_sets(n, d, k)), draw(sized_sets(n, d, m))
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,9 +128,7 @@ def square_pairs(draw):
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(1, 39 if d == 1 else 9))
     k = draw(st.integers(1, min(5, n**d)))
-    elements = list(np.ndindex(*[n] * d))  # drawn by index: no unique-list filtering
-    a, j = (tuple(elements[i] for i in draw(st.permutations(range(n**d)))[:k]) for _ in range(2))
-    return FiniteSet(n, d, a), FiniteSet(n, d, j)
+    return draw(indexed_sets(n, d, k)), draw(indexed_sets(n, d, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,13 +143,6 @@ def test_piece_coefficients_are_bit_identical(pair):
     assert got.tobytes() == reference_piece_coefficients(f).tobytes()
 
 
-@st.composite
-def interval_unions(draw):
-    """Up to four disjoint intervals with rational ends."""
-    cuts = sorted(draw(st.sets(RATIONALS, min_size=2, max_size=8)))
-    return BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
-
-
 COEFFICIENTS = st.builds(
     complex,
     st.floats(-3, 3, allow_nan=False),
@@ -231,10 +152,10 @@ COEFFICIENTS = st.builds(
 
 @st.composite
 def signals_and_patterns(draw):
-    dom = draw(interval_unions())
+    dom = draw(slab_domains(1))  # up to four disjoint intervals with rational ends
     pieces = tuple(draw(st.lists(COEFFICIENTS, min_size=1, max_size=4)) for _ in dom.boxes)
     n = draw(st.integers(1, 12))
-    j = draw(finite_sets(n, 1, draw(st.integers(1, n))))
+    j = draw(sized_sets(n, 1, draw(st.integers(1, n))))
     return BandlimitedSignal(dom, pieces), SamplePattern.from_finite_set(j, draw(st.integers(0, 8)))
 
 

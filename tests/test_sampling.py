@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_phases import cis as scalar_cis
+from reference import reference_alias, reference_hat
 from scipy import integrate
+from strategies import bits
 
 from spectralpairs import (
     AliasReport,
@@ -217,42 +218,9 @@ class TestReconstruction:
 
 # Differential tests: the alias table takes every k of the range at once (one
 # ``cis`` call for the symbol, one integer overlap test for Omega and Omega + k).
-# The references below are the per-k paths it replaced: the symbol summed term
-# by term from the scalar phase kernel, and the exact intersection measure of
+# The references in ``reference`` are the per-k paths it replaced: the symbol summed
+# term by term from the scalar phase kernel, and the exact intersection measure of
 # the rational domains Omega and Omega + k.
-
-
-def reference_symbol(j, k):
-    total = 0j
-    for (p,) in j.points:
-        total += scalar_cis(Fraction(-p * k, j.modulus))
-    return total
-
-
-def reference_alias(a, j, k_range):
-    reps = [p[0] for p in a.points]
-    differences = {x - y for x in reps for y in reps}
-    omega = minkowski_translate(unit_box(1), a)
-    table = [(k, reference_symbol(j, k), k in differences)
-             for k in range(k_range[0], k_range[1] + 1)]
-    cancelled, violations, disjoint, overlaps = [], [], [], []
-    for k, value, in_difference_set in table:
-        if k == 0:
-            continue
-        if in_difference_set:
-            if abs(value) < 1e-10:
-                cancelled.append(k)
-            else:
-                violations.append((k, abs(value)))
-        else:
-            measure = omega.intersection_measure(omega.translate((k,)))
-            if measure == 0:
-                disjoint.append(k)
-            else:
-                overlaps.append((k, str(measure)))
-    report = AliasReport(reference_symbol(j, 0).real, len(j), tuple(cancelled),
-                         tuple(violations), tuple(disjoint), tuple(overlaps))
-    return table, report
 
 
 @st.composite
@@ -296,15 +264,6 @@ def test_alias_table_past_2_62_takes_python_ints():
     assert values.tobytes() == np.array([v for _, v, _ in table]).tobytes()
 
 
-def reference_hat(signal, xi):
-    """The transform with each box edge converted from its Fraction on every call."""
-    for (lo, hi), coeffs in zip(signal.spectrum_domain.boxes, signal.pieces):
-        if float(lo[0]) <= xi < float(hi[0]):
-            t = xi - float(lo[0])
-            return sum(c * t**m for m, c in enumerate(coeffs))
-    return 0j
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)), min_size=2,
                max_size=8),
@@ -318,4 +277,4 @@ def test_hat_edges_converted_once_keep_the_bits(cuts, xs):
     got = [signal.hat(x) for x in points]
     expected = [reference_hat(signal, x) for x in points]
     assert [type(z) for z in got] == [type(z) for z in expected]
-    assert np.array(got, dtype=complex).tobytes() == np.array(expected, dtype=complex).tobytes()
+    assert bits(got) == bits(expected)

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference_search import enumerate_pairs as reference_enumerate_pairs
-from reference_search import exhaustive_pairs
+from reference import enumerate_pairs as reference_enumerate_pairs
+from reference import exhaustive_pairs
 
 from spectralpairs import (
     FiniteSet,
@@ -173,6 +173,17 @@ class TestEnumeratePairs:
     def test_invalid_integers(self, args, limit, message):
         with pytest.raises(ValueError, match=message):
             SearchQuery(*args, max_results=limit)
+
+    @pytest.mark.parametrize(
+        "field", ["modulus", "dimension", "cardinality", "max_results", "samples", "seed"])
+    def test_non_integers_rejected_not_truncated(self, field):
+        """Checked at construction, seed and samples on exhaustive queries too, which read
+        neither; numpy integers are stored as int."""
+        fields = dict(modulus=4, dimension=1, cardinality=2, max_results=1, samples=3, seed=1)
+        with pytest.raises(TypeError):
+            SearchQuery(**{**fields, field: fields[field] + 0.5})
+        query = SearchQuery(**{**fields, field: np.int64(fields[field])})
+        assert type(getattr(query, field)) is int and query == SearchQuery(**fields)
 
     def test_negative_samples_are_rejected(self):
         with pytest.raises(ValueError, match="samples must be non-negative"):

@@ -3,9 +3,9 @@
 ``enumerate_pairs`` classifies stacked chunks of pairs with one SVD call
 per chunk, one representative per distinct integer phase matrix
 P = J A^T mod N, and, with deduplication, generates only subsets that
-start with 0.  The reference in ``reference_search`` is the loop it
-replaced: one ``FiniteSet`` pair, evaluation matrix, SVD and
-classification per pair, and a canonical-form filter over every k-subset.
+start with 0.  The reference in ``reference`` is the loop it replaced:
+one ``FiniteSet`` pair, evaluation matrix, SVD and classification per
+pair, and a canonical-form filter over every k-subset.
 Both must visit the same pairs in the same order and report the same
 floats bit for bit.  The array kernel that canonicalises a stack of
 subsets is checked against the scalar ``canonical_form`` kept there too.
@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_search import canonical_form as reference_canonical_form
-from reference_search import enumerate_pairs as reference_enumerate_pairs
+from reference import canonical_form as reference_canonical_form
+from reference import column_grouping
+from reference import enumerate_pairs as reference_enumerate_pairs
 
 from spectralpairs import PairKind, SearchQuery, enumerate_pairs, search
 from spectralpairs.finite_pairs import _classify_stacked
@@ -157,16 +158,6 @@ def test_canonical_kernel_matches_scalar_reference(case):
     points = [[elements[c] for c in s] for s in subsets]
     want = [reference_canonical_form(s, n) for s in points]
     assert [tuple(map(tuple, s)) for s in _canonical(np.array(points), n).tolist()] == want
-
-
-def column_grouping(keys):
-    """The grouping ``_distinct`` used when a row did not fit one int64: a lexsort over
-    every column."""
-    order = np.lexsort(keys.T)
-    first = np.concatenate(([True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    return order[first], inverse
 
 
 @st.composite

@@ -4,9 +4,10 @@ Validation keeps only the integer form: numerators over one least common
 denominator.  ``boxes``, ``basis`` and ``shifts`` are built from it the first
 time they are read and then kept.  The reference is the eager construction
 they replaced, which ran at validation: every carried row through the
-dict-based ``_fractions`` kept below.  Views must equal it, with the same
-types, for objects from every builder, Python ints past 2**62 included, and
-the dataclass protocols must work before and after the first read.
+dict-based ``_fractions`` kept in ``reference``.  Views must equal it, with
+the same types, for objects from every builder, Python ints past 2**62
+included, and the dataclass protocols must work before and after the first
+read.
 """
 
 import copy
@@ -16,36 +17,36 @@ import pickle
 from fractions import Fraction
 
 import numpy as np
-import rational_geometry as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_geometry_properties import BIG, RADII, domains, finite_sets, spectra
+from reference import reference_fractions
+from strategies import (BIG, SMALL_RATIONALS, UP_TO_2_62, box_domains, pinned_past_2_62,
+                        sheared_spectra, small_sets)
 
 from spectralpairs import (
     BoxDomain,
     ContinuousPair,
+    DualBasis,
     DuplicateSpectrumError,
     FiniteSet,
     OverlapError,
     Spectrum,
     cartesian_product,
+    check_completeness_hypotheses,
+    combine_orthogonal,
     enumerate_spectrum,
     integer_lattice,
     minkowski_translate,
+    reconstruct_function,
     scaled_lattice,
     shift_spectrum,
     unit_box,
+    verify_biorthogonality,
 )
+from spectralpairs.analytics import _shift_tags
 from spectralpairs.domains import _fractions
 
 VIEWS = ("boxes", "basis", "shifts")
-
-
-def reference_fractions(rows, den, text=False):
-    """The dict-based conversion ``_fractions`` replaced: rows of Python ints."""
-    values = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows))}
-    values = {n: str(v) for n, v in values.items()} if text else values
-    return [tuple(map(values.__getitem__, row)) for row in rows]
 
 
 def eager_views(x):
@@ -77,20 +78,17 @@ def built(make):
         return None
 
 
-def _pinned_past_2_62():
-    eps = Fraction(1, BIG)
-    dom = BoxDomain(2, (((eps, 0), (1, Fraction(1, 2))), ((0, Fraction(1, 2)), (1 - eps, 1))))
-    basis = ((Fraction(BIG, 2**63), Fraction(1, 3)), (Fraction(1, 5), Fraction(BIG, 2**64)))
-    spec = Spectrum(2, basis, ((Fraction(1, 3), Fraction(-2, 7)),))
-    sets = [FiniteSet(4, 2, ((0, 0), (1, 1), (2, 0))), FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1)))]
-    return dom, spec, sets, (Fraction(1, BIG + 2), Fraction(-1, 3))
+def pinned_pair_past_2_62():
+    """The builders' pinned case past 2**62 with its first A and its first J."""
+    dom, spec, (a, _, j, _), v = pinned_past_2_62()
+    return dom, spec, [a, j], v
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
-    domains(d), spectra(d), st.lists(finite_sets(d), min_size=2, max_size=2),
-    st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))] * d))))
-@example(_pinned_past_2_62())
+    box_domains(d), sheared_spectra(d), st.lists(small_sets(d), min_size=2, max_size=2),
+    st.tuples(*[SMALL_RATIONALS] * d))))
+@example(pinned_pair_past_2_62())
 def test_views_from_every_builder_equal_the_eager_ones(case):
     dom, spec, (a, j), v = case
     d = dom.dimension
@@ -117,16 +115,26 @@ def test_views_from_every_builder_equal_the_eager_ones(case):
 
 
 def test_builders_leave_the_views_unbuilt():
+    """Builders, decisions and JSON read the integer form only: no view is built on what
+    they return, nor on the base pair an iterated construction starts from."""
     a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
-    dom = minkowski_translate(minkowski_translate(unit_box(1), a), FiniteSet.from_ints(8, [0, 4]))
-    spec = shift_spectrum(integer_lattice(1), j, 4)
-    spec = shift_spectrum(spec, FiniteSet.from_ints(8, [0, 1]), 8)
-    for x in (dom, spec):
+    a2, j2 = FiniteSet.from_ints(8, [0, 4]), FiniteSet.from_ints(8, [0, 1])
+    level1 = combine_orthogonal(ContinuousPair.orthogonal(unit_box(1), integer_lattice(1)),
+                                a, j).pair
+    base = level1.domain, level1.spectrum
+    dom, spec = minkowski_translate(level1.domain, a2), shift_spectrum(level1.spectrum, j2, 8)
+    assert check_completeness_hypotheses(level1, a2, j2).applies
+    assert verify_biorthogonality(*base, a2, j2, 1) < 1e-10
+    points = enumerate_spectrum(spec, 1)
+    assert _shift_tags(spec, j2, points) == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    dual = DualBasis.build(level1.domain, a2, j2)
+    assert reconstruct_function(dom, spec, dual, np.zeros(len(points)), [0.5], 1).shape == (1,)
+    for x in (*base, dom, spec):
         assert not set(VIEWS) & set(vars(x))
-    assert dom.measure == 4 and len(enumerate_spectrum(spec, 1)) == 9
+    assert dom.measure == 4 and len(points) == 9
     assert dom.to_json_dict()["boxes"][3] == {"lo": ["6"], "hi": ["7"]}
     assert spec.to_json_dict()["shifts"] == [["0"], ["1/8"], ["1/4"], ["3/8"]]
-    for x in (dom, spec):  # decisions and JSON read the integer form only
+    for x in (*base, dom, spec):
         assert not set(VIEWS) & set(vars(x))
 
 
@@ -170,13 +178,9 @@ def test_missing_attributes_raise_attribute_error():
     assert not hasattr(blank, "boxes") and not hasattr(object.__new__(Spectrum), "shifts")
 
 
-INT64 = st.integers(-(2**62), 2**62)
-HUGE = st.integers(-(2**70), 2**70)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
-    st.lists(st.tuples(*[st.one_of(INT64, st.integers(-5, 5))] * d), max_size=8),
+    st.lists(st.tuples(*[st.one_of(UP_TO_2_62, st.integers(-5, 5))] * d), max_size=8),
     st.just(d))), st.integers(1, 2**64), st.booleans(), st.booleans())
 @example(([(BIG, -BIG), (0, BIG)], 2), 2**63, False, True)
 @example(([], 1), 3, True, False)
@@ -189,14 +193,3 @@ def test_fractions_match_the_dict_reference(case, den, text, huge):
     want = reference_fractions(rows, den, text)
     assert got == want
     assert all(type(c) is (str if text else Fraction) for row in got for c in row)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
-    spectra(d), st.lists(finite_sets(d), max_size=2))), RADII)
-def test_enumeration_is_sorted_and_repeats_no_point(case, radius):
-    s, sets = case
-    for j in (j for j in sets if len(j)):  # iterated: shifts of shifts
-        s = built(lambda: shift_spectrum(s, j, j.modulus)) or s
-    got = enumerate_spectrum(s, radius)
-    assert got == sorted(set(got)) == ref.enumerate_spectrum(s, radius)
