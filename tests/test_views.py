@@ -17,10 +17,11 @@ import pickle
 from fractions import Fraction
 
 import numpy as np
+import reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import reference_fractions
-from strategies import (BIG, SMALL_RATIONALS, UP_TO_2_62, box_domains, pinned_past_2_62,
+from strategies import (BIG, RADII, SMALL_RATIONALS, UP_TO_2_62, box_domains, pinned_past_2_62,
                         sheared_spectra, small_sets)
 
 from spectralpairs import (
@@ -193,3 +194,20 @@ def test_fractions_match_the_dict_reference(case, den, text, huge):
     want = reference_fractions(rows, den, text)
     assert got == want
     assert all(type(c) is (str if text else Fraction) for row in got for c in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    sheared_spectra(d), st.lists(small_sets(d), max_size=2))), RADII)
+def test_enumeration_is_sorted_and_repeats_no_point(case, radius):
+    """Iterated spectra (shifts of shifts): the points of the Fraction path, sorted, none
+    repeated, every coordinate a Fraction."""
+    s, sets = case
+    for j in (j for j in sets if len(j)):
+        try:
+            s = shift_spectrum(s, j, j.modulus)
+        except DuplicateSpectrumError:
+            pass
+    got = enumerate_spectrum(s, radius)
+    assert got == sorted(set(got)) == ref.enumerate_spectrum(s, radius)
+    assert all(type(c) is Fraction for p in got for c in p)
