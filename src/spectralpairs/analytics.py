@@ -35,9 +35,11 @@ from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
     TOLERANCES,
     FiniteSet,
+    PairKind,
     _checked_inverse,
     _piece_coefficients,
     build_evaluation_matrix,
+    classify_finite_pair,
 )
 
 
@@ -171,7 +173,7 @@ class DualBasis:
 
     @property
     def is_self_dual(self) -> bool:
-        return bool(np.abs(self.piece_coefficients - 1.0).max() < TOLERANCES.unitary)
+        return classify_finite_pair(self.a, self.j).kind is PairKind.ORTHOGONAL_BASIS
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,8 +215,7 @@ def verify_biorthogonality(
     docstring; all inner products are evaluated analytically.  ``spec``
     is the base spectrum, ``dom1`` the base domain.
     """
-    f = build_evaluation_matrix(a, j).entries
-    coeff = _piece_coefficients(f, _checked_inverse(f))
+    coeff = DualBasis.build(dom1, a, j).piece_coefficients
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
     points = _window(combined, radius)

@@ -57,6 +57,7 @@ class ContinuousPair:
     upper: float
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", PairKind(self.kind))  # a kind's string value too
         if self.domain.dimension != self.spectrum.dimension:
             raise DimensionMismatchError(
                 "domain dimension %d != spectrum dimension %d"
@@ -173,11 +174,6 @@ def _combine(
     j: FiniteSet,
     target: PairKind,
 ) -> CombinedPairResult:
-    if base.domain.dimension != a.dimension:
-        raise DimensionMismatchError(
-            "base dimension %d != finite set dimension %d"
-            % (base.domain.dimension, a.dimension)
-        )
     checks = [_kind_check("base-kind", "base", base.kind, target)]
 
     frame = target == PairKind.FRAME
@@ -186,7 +182,7 @@ def _combine(
     checks.append(HypothesisCheck("cardinality", card_ok, card_msg))
 
     domain = overlap = None
-    try:
+    try:  # raises DimensionMismatchError for a base of another dimension than A
         domain = minkowski_translate(base.domain, a)
     except OverlapError as exc:
         overlap = exc

@@ -146,7 +146,7 @@ class BoxDomain:
         v, scale = _numerators([to_vector(vector, self.dimension)], self.dimension)
         den = math.lcm(self._den, scale)
         corners = _scaled(self._corners, self._den, den) + _scaled(v, scale, den)
-        return object.__new__(BoxDomain)._validate(*_lowest(corners, den))
+        return object.__new__(BoxDomain)._validate(*_lowest(corners, den), disjoint=True)
 
     def intersection_measure(self, other: "BoxDomain") -> Fraction:
         """|self & other|: over one denominator D, the integer sum of the
@@ -290,6 +290,8 @@ def _translates(base: BoxDomain, a: FiniteSet) -> tuple[np.ndarray, OverlapError
     (integer translates keep it least), and the error naming the first pair of copies, in
     the order of A, that overlap with positive measure (None when they are disjoint)."""
     _same_dimension("domain", base, a)
+    if not len(a):
+        raise ValueError("A is empty: a domain needs at least one translate")
     d, den, m = base.dimension, base._den, len(base._corners) // 2
     bound = _top(base._corners) + a.modulus * den
     offsets = int_array(a.points, bound).reshape(-1, 1, d) * den
@@ -320,6 +322,8 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
 def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
     """The spectrum base + J/n; shifts must stay distinct modulo the lattice."""
     _same_dimension("spectrum", base, j)
+    if not len(j):
+        raise ValueError("J is empty: a spectrum needs at least one shift")
     if n != j.modulus:
         raise ValueError("n = %d does not match the set modulus %d" % (n, j.modulus))
     d = base.dimension

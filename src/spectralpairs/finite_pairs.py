@@ -54,7 +54,7 @@ class Tolerances:
     unitarity defect is pure floating evaluation; 1e-10 is generous.
     """
 
-    unitary: float = 1e-10  # unitary defects, piece-coefficient defects, symbol zeros
+    unitary: float = 1e-10  # the classifier's unitary defect, symbol zeros
     condition_cap: float = 1e12  # a square matrix of smaller condition number is a Riesz basis
     frame_lower: float = 1e-10  # sigma_min^2 above it is a frame
     eigenvalue_floor: float = 1e-12  # Gram eigenvalues below it report as 0
@@ -179,8 +179,10 @@ def _unitary_defect(f: np.ndarray) -> np.ndarray:
 def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     """Kind ranks (indices into _KINDS), lower and upper frame constants, condition numbers
     and stack indices of the matrices of kind at least ``least`` in a stack f of shape
-    (m, #J, #A), #J >= #A.  Orthogonality rests on the unitary defect alone, so for an
+    (m, #J, #A), #J >= #A >= 1.  Orthogonality rests on the unitary defect alone, so for an
     orthogonal ``least`` only the square matrices that the defect passes get an SVD."""
+    if not f.shape[2]:
+        raise ValueError("A is empty: a pair needs at least one point in A")
     square, index = f.shape[1] == f.shape[2], np.arange(len(f))
     screened = square and least is PairKind.ORTHOGONAL_BASIS
     if screened:
@@ -210,12 +212,11 @@ def classify_finite_pair(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     rectangular ones at most frames.  Constants are squared extreme
     singular values under counting measure.
     """
-    _require_compatible(a, j)
+    f = build_evaluation_matrix(a, j).entries[None]
     if len(j) < len(a):
         raise InsufficientSpectrumError(
             "#J = %d < #A = %d: no frame classification" % (len(j), len(a))
         )
-    f = build_evaluation_matrix(a, j).entries[None]
     rank, *bounds = (x[0].item() for x in _classify_stacked(f)[:4])
     return FiniteClassification(_KINDS[rank], *bounds)
 
@@ -258,7 +259,9 @@ def _symbols(j: FiniteSet, ks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HadamardReport:
-    """Whether F^H F = k I, and whether the dual system coincides with the primal."""
+    """Whether F^H F = k I and whether the dual system is the primal: one fact (the piece
+    coefficients are 1 exactly when F^{-1} = F^H / k), so both are the classifier's orthogonal
+    verdict.  The defects are float diagnostics; ``coefficient_defect`` is inf below Riesz."""
 
     is_hadamard: bool
     self_dual: bool
@@ -274,14 +277,8 @@ def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:
     f = build_evaluation_matrix(a, j).entries
     if f.shape[0] != f.shape[1]:
         raise ValueError("hadamard check needs a square evaluation matrix")
-    unitary_defect = float(_unitary_defect(f))
-    try:
-        coeff_defect = float(np.abs(_piece_coefficients(f, _checked_inverse(f)) - 1.0).max())
-    except NonInvertibleError:
-        coeff_defect = float("inf")
-    return HadamardReport(
-        is_hadamard=unitary_defect < TOLERANCES.unitary,
-        self_dual=coeff_defect < TOLERANCES.unitary,
-        unitary_defect=unitary_defect,
-        coefficient_defect=coeff_defect,
-    )
+    rank, coeff_defect = _classify_stacked(f[None])[0][0], float("inf")
+    if rank >= PairKind.RIESZ_BASIS.rank:
+        coeff_defect = float(np.abs(_piece_coefficients(f, np.linalg.inv(f)) - 1.0).max())
+    orthogonal = bool(rank == PairKind.ORTHOGONAL_BASIS.rank)
+    return HadamardReport(orthogonal, orthogonal, float(_unitary_defect(f)), coeff_defect)

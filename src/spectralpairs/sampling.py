@@ -16,13 +16,14 @@ enters the verification path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._exact import cis, common_denominator, int_array, mul, over_2pi_i, ratio
-from .domains import BoxDomain, _top, minkowski_translate, unit_box
+from .domains import BoxDomain
 from .errors import DimensionMismatchError
 from .finite_pairs import TOLERANCES, FiniteSet, _symbols, symbol_of_set
 
@@ -148,9 +149,8 @@ class AliasReport:
     dc: the k = 0 coefficient (must equal #J exactly).
     cancelled: k in (A-A) \\ {0} where the symbol vanishes numerically.
     symbol_violations: such k where it does not.
-    disjoint: k outside A-A where |Omega and Omega+k| = 0 exactly.
-    overlap_violations: such k with positive overlap (cannot happen for
-    integer translates of unit intervals; kept for the record).
+    disjoint: every k != 0 outside A-A, where Omega and Omega+k are disjoint.
+    overlap_violations: always empty, as [a, a+1) meets [a' + k, a' + k + 1) only at k = a - a'.
     """
 
     dc_value: float
@@ -185,34 +185,29 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
 
     Case k = 0 contributes the factor #J; k in (A-A) \\ {0} must kill the
     symbol (this is where orthogonality of (A, J) enters and where a
-    non-orthogonal J shows up as a named violation); all other k must
-    have Omega and Omega + k disjoint, decided in rational arithmetic.
+    non-orthogonal J shows up as a named violation); every other k has Omega
+    and Omega + k disjoint.  Both ends of the range must be integers.
     """
     if a.dimension != 1 or j.dimension != 1:
         raise DimensionMismatchError("aliasing analysis is one-dimensional here")
-    k_min, k_max = int(k_range[0]), int(k_range[1])
+    if not len(a):
+        raise ValueError("A is empty: Omega = [0, 1) + A needs at least one translate")
+    k_min, k_max = operator.index(k_range[0]), operator.index(k_range[1])
     if k_min > k_max:
         raise ValueError("empty k range: %d > %d" % (k_min, k_max))
     ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
     reps = int_array(a.points, a.modulus).ravel()
     values = _symbols(j, ks[:, None] % j.modulus)  # the symbol chi_hat_J at each k
     differences = np.isin(ks, np.subtract.outer(reps, reps))  # k in A - A
-    corners = minkowski_translate(unit_box(1), a)._corners  # integers: [0, 1) + A has D = 1
-    bound = len(corners) ** 2 * (2 * _top(corners) + _top(ks))
-    lo, hi, shift = (int_array(x, bound) for x in (corners[0::2], corners[1::2], ks[:, None, None]))
-    sides = np.minimum(hi, hi.T + shift) - np.maximum(lo, lo.T + shift)  # box pairs, every k
-    measures = np.maximum(sides, 0).sum(axis=(1, 2))  # |Omega & (Omega + k)|
     size = np.hypot(values.real, values.imag)  # abs(value), as Python takes it
-    symbol, small, apart = differences & (ks != 0), size < TOLERANCES.unitary, measures == 0
-    shifts = ~differences & (ks != 0)
+    symbol, small = differences & (ks != 0), size < TOLERANCES.unitary
     return AliasReport(
         dc_value=symbol_of_set(j, 0).real,
         dc_expected=len(j),
         cancelled=tuple(ks[symbol & small].tolist()),
         symbol_violations=tuple(zip(ks[symbol & ~small].tolist(), size[symbol & ~small].tolist())),
-        disjoint=tuple(ks[shifts & apart].tolist()),
-        overlap_violations=tuple(zip(ks[shifts & ~apart].tolist(),
-                                     map(str, measures[shifts & ~apart].tolist()))),
+        disjoint=tuple(ks[~differences & (ks != 0)].tolist()),
+        overlap_violations=(),
     )
 
 

@@ -49,6 +49,7 @@ class SearchQuery:
     def __post_init__(self):
         names = "modulus", "dimension", "cardinality", "max_results", "samples", "seed"
         vars(self).update({k: operator.index(v) for k in names if (v := vars(self)[k]) is not None})
+        vars(self)["target_kind"] = PairKind(self.target_kind)  # a kind's string value too
         for name in ("modulus", "dimension"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be a positive integer" % name)

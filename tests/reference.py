@@ -207,21 +207,26 @@ def reduced_shifts(basis, shifts):
 
 
 def enumerate_spectrum(s, radius):
-    """All spectrum points with sup-norm at most radius, lexicographically sorted."""
+    """All spectrum points with sup-norm at most radius, lexicographically sorted.
+
+    The coordinate box of each shift comes from the Fraction inverse; the points are
+    integer numerators over one denominator D of the generators, shifts and radius, each
+    the shift plus one multiple of every generator, and become Fractions once, sorted."""
     r = Fraction(radius)
     inv = inverse(s.basis)
-    points = set()
+    den = math.lcm(r.denominator, *(c.denominator for v in s.basis + s.shifts for c in v))
+    gens = [[c.numerator * (den // c.denominator) for c in g] for g in s.basis]
+    reach, points = r.numerator * (den // r.denominator), set()
     for shift in s.shifts:
-        shift_bound = max(abs(c) for c in shift)
-        bounds = []
-        for i in range(s.dimension):
-            row_norm = sum(abs(inv[i][k]) for k in range(s.dimension))
-            bounds.append(math.floor(row_norm * (r + shift_bound)))
-        for coords in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            point = vec_add(lattice_point(s.basis, coords), shift)
-            if max(abs(c) for c in point) <= r:
-                points.add(point)
-    return sorted(points)
+        bound = r + max(abs(c) for c in shift)
+        steps = [[[z * c for c in g] for z in range(-b, b + 1)]
+                 for g, b in zip(gens, (math.floor(sum(map(abs, row)) * bound) for row in inv))]
+        v = [c.numerator * (den // c.denominator) for c in shift]
+        for combo in itertools.product(*steps):
+            p = tuple(map(sum, zip(v, *combo)))
+            if max(map(abs, p)) <= reach:
+                points.add(p)
+    return [tuple(Fraction(c, den) for c in p) for p in sorted(points)]
 
 
 def root_of_unity_condition(s, a) -> bool:
@@ -263,6 +268,8 @@ def intersection_measure(dom1, dom2) -> Fraction:
 
 def fraction_minkowski(dom, a):
     """``minkowski_translate`` through the constructor, naming the first overlapping translates."""
+    if not len(a):
+        raise ValueError("A is empty: a domain needs at least one translate")
     boxes = tuple((vec_add(lo, p), vec_add(hi, p)) for p in a.points for lo, hi in dom.boxes)
     m = len(dom.boxes)
     meets = [(i // m, k // m) for i, k in itertools.combinations(range(len(boxes)), 2)
@@ -275,7 +282,9 @@ def fraction_minkowski(dom, a):
 
 
 def fraction_shift(spec, j):
-    """``shift_spectrum`` through the constructor."""
+    """``shift_spectrum`` through the constructor; an empty J would mean the zero shift."""
+    if not len(j):
+        raise ValueError("J is empty: a spectrum needs at least one shift")
     offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
     return Spectrum(spec.dimension, spec.basis,
                     tuple(vec_add(v, o) for v in spec.shifts for o in offsets))

@@ -234,16 +234,27 @@ class TestInputHandling:
              "unrecognized arguments: --tol 1e-6"),
             (["search", "--N", "4", "--k", "2", "--tol", "1e-6"],
              "unrecognized arguments: --tol 1e-6"),
+            # an empty A or J, from JSON: no pair to classify, no spectrum to shift
+            (["classify", "--finite", "{tmp}/empty_a.json"], "A is empty"),
+            (["construct", "--finite", "{tmp}/empty_a.json"], "A is empty"),
+            (["construct", "--finite", "{tmp}/empty_j.json"], "J is empty"),
+            (["gram", "--finite", "{tmp}/empty_j.json"], "J is empty"),
+            (["dual", "--finite", "{tmp}/empty.json"], "A is empty"),
+            (["biorth", "--finite", "{tmp}/empty.json"], "A is empty"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
              "sample-recon-base", "search-dimension-zero", "search-negative-limit",
              "search-negative-budget", "search-nan-budget", "classify-tol", "construct-tol",
-             "search-tol"],
+             "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
+             "gram-empty-j", "dual-empty", "biorth-empty"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
         (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
+        empty, one = {"N": 4, "d": 1, "points": []}, {"N": 4, "d": 1, "points": [[0]]}
+        for name, a, j in ("empty_a", empty, one), ("empty_j", one, empty), ("empty", empty, empty):
+            (tmp_path / ("%s.json" % name)).write_text(json.dumps({"A": a, "J": j}))
         assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1 and named in err

@@ -191,6 +191,16 @@ class TestCompleteness:
         )
         assert not report.applies
 
+    def test_empty_a_is_rejected_by_name(self, unit_base):
+        with pytest.raises(ValueError, match="A is empty"):
+            check_completeness_hypotheses(unit_base, FiniteSet(4, 1, ()),
+                                          FiniteSet.from_ints(4, [0, 1]))
+
+    @pytest.mark.parametrize("combine", [combine_frame, combine_riesz, combine_orthogonal])
+    def test_empty_j_is_rejected_by_name(self, unit_base, combine):
+        with pytest.raises(ValueError, match="J is empty"):
+            combine(unit_base, FiniteSet.from_ints(4, [0]), FiniteSet(4, 1, ()))
+
     def test_trivial_translate_applies(self, unit_base):
         report = check_completeness_hypotheses(
             unit_base, FiniteSet.from_ints(4, [0]), FiniteSet.from_ints(4, [0, 1])
@@ -229,6 +239,12 @@ class TestContinuousPair:
         data = {**unit_base.to_json_dict(), "lower": math.inf, "upper": math.inf}
         with pytest.raises(ValueError, match="pair constants must be finite"):
             ContinuousPair.from_json_dict(data)
+
+    def test_kind_given_as_its_string_value(self, unit_base):
+        pair = ContinuousPair(unit_base.domain, unit_base.spectrum, "orthogonal-basis", 1.0, 1.0)
+        assert pair.kind is PairKind.ORTHOGONAL_BASIS and pair == unit_base
+        with pytest.raises(ValueError, match="'orthogonal'"):
+            ContinuousPair(unit_base.domain, unit_base.spectrum, "orthogonal", 1.0, 1.0)
 
     def test_json_float_dimension_rejected(self, unit_base):
         data = unit_base.to_json_dict()

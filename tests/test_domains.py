@@ -125,6 +125,10 @@ class TestMinkowskiTranslate:
         dom = minkowski_translate(BoxDomain.interval(0, 1), FiniteSet.from_ints(4, [0, 1]))
         assert dom.measure == 2
 
+    def test_empty_a_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="A is empty"):
+            minkowski_translate(unit_box(1), FiniteSet(4, 1, ()))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             minkowski_translate(unit_box(2), FiniteSet.from_ints(4, [0, 1]))
@@ -176,6 +180,10 @@ class TestShiftSpectrum:
     def test_modulus_must_match(self):
         with pytest.raises(ValueError):
             shift_spectrum(integer_lattice(1), FiniteSet.from_ints(4, [0, 1]), 5)
+
+    def test_empty_j_is_rejected_not_the_zero_shift(self):
+        with pytest.raises(ValueError, match="J is empty"):
+            shift_spectrum(integer_lattice(1), FiniteSet(4, 1, ()), 4)
 
 
 class TestEnumerateSpectrum:

@@ -19,9 +19,12 @@ from spectralpairs import (
     build_evaluation_matrix,
     classify_finite_pair,
     hadamard_report,
+    integer_lattice,
+    root_of_unity_condition,
     symbol_of_set,
     transpose_pair,
     verify_alias_cancellation,
+    verify_biorthogonality,
 )
 from spectralpairs.finite_pairs import TOLERANCES, _checked_inverse, _classify_stacked
 
@@ -262,6 +265,42 @@ class TestMutualOrthogonality:
                 j = FiniteSet.from_ints(n, j_pts)
                 orth = classify_finite_pair(a, j).kind == PairKind.ORTHOGONAL_BASIS
                 assert orth == hadamard_report(a, j).is_hadamard
+
+
+class TestEmptySets:
+    """An empty A leaves no pair to classify: every path that classifies one names A.
+    The matrix, the symbol and the root-of-unity test still take empty sets."""
+
+    EMPTY, ONE = FiniteSet(4, 1, ()), FiniteSet.from_ints(4, [0])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, one: classify_finite_pair(e, one),
+            lambda e, one: classify_finite_pair(e, e),
+            lambda e, one: transpose_pair(e, e),
+            lambda e, one: hadamard_report(e, e),
+            lambda e, one: DualBasis.build(BoxDomain.interval(0, 1), e, e),
+            lambda e, one: verify_biorthogonality(
+                BoxDomain.interval(0, 1), integer_lattice(1), e, e, 1),
+            lambda e, one: verify_alias_cancellation(e, one, (-2, 2)),
+        ],
+        ids=["classify", "classify-both", "transpose", "hadamard", "dual-basis", "biorth",
+             "alias"],
+    )
+    def test_empty_a_is_rejected_by_name(self, call):
+        with pytest.raises(ValueError, match="A is empty"):
+            call(self.EMPTY, self.ONE)
+
+    def test_empty_j_is_still_an_insufficient_spectrum(self):
+        with pytest.raises(InsufficientSpectrumError):
+            classify_finite_pair(self.ONE, self.EMPTY)
+
+    def test_matrix_symbol_and_root_of_unity_take_empty_sets(self):
+        assert build_evaluation_matrix(self.EMPTY, self.ONE).entries.shape == (1, 0)
+        assert build_evaluation_matrix(self.ONE, self.EMPTY).entries.shape == (0, 1)
+        assert symbol_of_set(self.EMPTY, 1) == 0j
+        assert root_of_unity_condition(integer_lattice(1), self.EMPTY)
 
 
 # N = 2^40 + 15 is prime, so 1 + omega^u != 0 and no 2-element pair of Z_N is orthogonal;

@@ -1,13 +1,15 @@
 """The layout of the test suite: every exact reference lives in ``reference.py`` and
 every shared strategy or pinned case in ``strategies.py``, so no test module imports
 another and none keeps a reference of its own.  A function named ``reference_*`` or
-``fraction_*`` is a reference by name.
+``fraction_*`` is a reference by name.  And the layout of the package: every name a
+module of ``spectralpairs`` imports is used there (``__init__.py`` re-exports, exempt).
 """
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spectralpairs"
 
 
 def offences(path: Path) -> list[str]:
@@ -30,3 +32,20 @@ def offences(path: Path) -> list[str]:
 def test_no_test_module_imports_another_or_keeps_a_reference():
     found = {path.name: offences(path) for path in sorted(TESTS.glob("test_*.py"))}
     assert {name: what for name, what in found.items() if what} == {}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads; ``from __future__`` imports are exempt."""
+    tree, imported = ast.parse(path.read_text()), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_every_name_a_package_module_imports_is_used():
+    found = {path.name: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

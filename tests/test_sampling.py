@@ -139,6 +139,14 @@ class TestAliasCancellation:
         assert report.passed
         assert report.cancelled == ()
 
+    def test_k_range_ends_must_be_integers(self):
+        a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
+        for k_range in ((-2.7, 2.9), (-2, 2.0), (Fraction(-2), 2)):
+            with pytest.raises(TypeError):
+                verify_alias_cancellation(a, j, k_range)
+        got = verify_alias_cancellation(a, j, (np.int64(-2), np.int64(2)))
+        assert got.to_json_dict() == verify_alias_cancellation(a, j, (-2, 2)).to_json_dict()
+
     def test_exact_dc_for_search_hits(self):
         from spectralpairs import PairKind, SearchQuery, enumerate_pairs
 

@@ -185,6 +185,17 @@ class TestEnumeratePairs:
         query = SearchQuery(**{**fields, field: np.int64(fields[field])})
         assert type(getattr(query, field)) is int and query == SearchQuery(**fields)
 
+    def test_kind_given_as_its_string_value(self):
+        query = SearchQuery(4, 1, 2, "riesz-basis")
+        assert query.target_kind is PairKind.RIESZ_BASIS
+        assert enumerate_pairs(query).matches == enumerate_pairs(
+            SearchQuery(4, 1, 2, PairKind.RIESZ_BASIS)).matches
+        with pytest.raises(ValueError, match="'riesz'"):
+            SearchQuery(4, 1, 2, "riesz")
+        for kind in ("none", "frame"):
+            with pytest.raises(ValueError, match="search targets"):
+                SearchQuery(4, 1, 2, kind)
+
     def test_negative_samples_are_rejected(self):
         with pytest.raises(ValueError, match="samples must be non-negative"):
             SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=-5)
