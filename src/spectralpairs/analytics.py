@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _exact
 from ._exact import Vec, to_vector
-from .domains import (BoxDomain, Spectrum, _numerators, _reduce, _scaled, _top, _translates,
-                      enumerate_spectrum, shift_spectrum)
+from .domains import (BoxDomain, Spectrum, _fractions, _numerators, _reduce, _scaled, _top,
+                      _translates, _window_rows, shift_spectrum)
 from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
 from .finite_pairs import (
     TOLERANCES,
@@ -43,8 +43,8 @@ from .finite_pairs import (
 )
 
 
-def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
-    """M[i, k] = <e_rows[i], e_cols[k]> over the domain, for rational vectors.
+def _inner_products(dom: BoxDomain, rows, cols, den: int) -> np.ndarray:
+    """M[i, k] = <e_rows[i], e_cols[k]> over the domain, for integer rows over ``den``.
 
     An entry is a sum over boxes of products over axes of the integrals of
     e^{2 pi i nu x} over [lo, hi), nu the coordinate difference: (cis(nu hi) -
@@ -54,18 +54,17 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
     term *= factor; total += term``, so every entry has that scalar's bits.
     """
     n, m = len(rows), len(cols)
+    corners, scale = dom._corners, dom._den  # lower, upper, ... of each box
+    bound = max(2 * max(_top(rows), _top(cols)), den) * max(_top(corners), scale)
+    rows, cols, corners = (_exact.int_array(x, bound) for x in (rows, cols, corners))
     tables = []
     for k in range(dom.dimension):
-        nums, scale = _exact.common_denominator([p[k] for p in rows] + [p[k] for p in cols])
-        corners, den = dom._corners[:, k], dom._den  # lower, upper, ... of each box
-        bound = max(2 * max(map(abs, nums)), scale) * max(_top(corners), den)
-        nums, corners = (_exact.int_array(x, bound) for x in (nums, corners))
-        diffs, index = np.unique(np.subtract.outer(nums[:n], nums[n:]), return_inverse=True)
-        ends = _exact.cis(np.multiply.outer(corners, diffs), scale * den)
-        nu, zero = _exact.ratio(diffs, scale), diffs == 0  # float(nu), correctly rounded
+        diffs, index = np.unique(np.subtract.outer(rows[:, k], cols[:, k]), return_inverse=True)
+        ends = _exact.cis(np.multiply.outer(corners[:, k], diffs), den * scale)
+        nu, zero = _exact.ratio(diffs, den), diffs == 0  # float(nu), correctly rounded
         nu[zero] = 1.0
         factors = _exact.over_2pi_i(ends[1::2] - ends[0::2], nu)
-        factors[:, zero] = _exact.ratio(corners[1::2] - corners[0::2], den)[:, None]
+        factors[:, zero] = _exact.ratio(corners[1::2, k] - corners[0::2, k], scale)[:, None]
         tables.append((factors, index.reshape(n, m)))
     total = np.zeros((n, m), dtype=complex)
     for b in range(len(dom._corners) // 2):
@@ -79,15 +78,17 @@ def _inner_products(dom: BoxDomain, rows, cols) -> np.ndarray:
 def exp_inner_product(dom: BoxDomain, lam, mu) -> complex:
     """<e_lam, e_mu> over the domain, i.e. the integral of e^{2 pi i (lam-mu).x}."""
     d = dom.dimension
-    return complex(_inner_products(dom, [to_vector(lam, d)], [to_vector(mu, d)])[0, 0])
+    nums, den = _numerators([to_vector(lam, d), to_vector(mu, d)], d)
+    return complex(_inner_products(dom, nums[:1], nums[1:], den)[0, 0])
 
 
-def _window(spec: Spectrum, radius) -> list[Vec]:
-    """The spectrum points within the sup-norm radius; raises if there are none."""
-    points = enumerate_spectrum(spec, radius)
-    if not points:
+def _window(spec: Spectrum, radius) -> tuple[np.ndarray, int]:
+    """The spectrum points within the sup-norm radius, as the sorted integer rows over
+    their denominator that ``enumerate_spectrum`` converts; raises if there are none."""
+    rows, den = _window_rows(spec, radius)
+    if not len(rows):
         raise EmptySpectrumError("no spectrum points within radius %s" % radius)
-    return points
+    return rows, den
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +115,18 @@ class GramMatrix:
         }
 
 
+def _gram(dom: BoxDomain, rows: np.ndarray, den: int) -> np.ndarray:
+    """The Gram entries of integer rows over ``den``."""
+    entries = _inner_products(dom, rows, rows, den)
+    lower = np.tril_indices(len(rows), -1)
+    entries[lower] = entries.T[lower].conj()  # exactly Hermitian: the upper triangle, conjugated
+    return entries
+
+
 def build_gram(dom: BoxDomain, spec: Spectrum, radius) -> GramMatrix:
     """Gram matrix of all spectrum points within the given sup-norm radius."""
-    points = _window(spec, radius)
-    entries = _inner_products(dom, points, points)
-    lower = np.tril_indices(len(points), -1)
-    entries[lower] = entries.T[lower].conj()  # exactly Hermitian: the upper triangle, conjugated
-    return GramMatrix(tuple(points), entries)
+    rows, den = _window(spec, radius)
+    return GramMatrix(tuple(_fractions(rows, den)), _gram(dom, rows, den))
 
 
 def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[float, float]]:
@@ -140,14 +146,13 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     if not radii:
         return []
     _window(spec, radii[0])  # the smallest radius raises as its own Gram matrix would
-    gram = build_gram(dom, spec, radii[-1])
-    d, m = spec.dimension, len(gram)
-    # integer sup norms over one denominator: the points', then the radii's as rows (r, ..., r)
-    norms = np.abs(_numerators([*gram.points, *((r,) * d for r in bounds)], d)[0]).max(axis=1)
+    rows, den = _window(spec, radii[-1])
+    entries = _gram(dom, rows, den)
+    norms = np.abs(rows).max(axis=1).astype(object)  # sup norms over den, as Python ints
     out = []
-    for r in norms[m:].tolist():
-        keep = np.flatnonzero(norms[:m] <= r)
-        eigs = np.linalg.eigvalsh(gram.entries[np.ix_(keep, keep)])
+    for r in bounds:
+        keep = np.flatnonzero(norms * r.denominator <= r.numerator * den)
+        eigs = np.linalg.eigvalsh(entries[np.ix_(keep, keep)])
         low = float(eigs[0])
         if low < TOLERANCES.eigenvalue_floor:
             low = 0.0
@@ -183,8 +188,9 @@ class DualBasis:
         }
 
 
-def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
-    """Index s of each point of spec = base + J/N, so that point - j_s/N is in base.
+def _shift_tags(spec: Spectrum, j: FiniteSet, rows: np.ndarray) -> list[int]:
+    """Index s of each point of spec = base + J/N, so that point - j_s/N is in base;
+    the points are integer rows over the spectrum's denominator, as a window gives them.
 
     ``shift_spectrum`` lays the shifts out base-shift-major, shift
     i = v_b + j_s/N with i = b #J + s; a point's tag is the index of the
@@ -192,18 +198,17 @@ def _shift_tags(spec: Spectrum, j: FiniteSet, points) -> list[int]:
     a spectrum built any other way raises instead of mislabelling points.
     """
     m, n, d = len(j), len(spec._nums) - spec.dimension, spec.dimension
-    tips, scale = _numerators(points, d)
-    den = math.lcm(spec._den, j.modulus, scale)
+    den = math.lcm(spec._den, j.modulus)
     nums = _scaled(spec._nums, spec._den, den)
     offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
-    vectors = np.concatenate([nums[d:] - offsets, nums[d:], _scaled(tips, scale, den)])
-    rows = [tuple(row) for row in _reduce(nums[:d], vectors)[0].tolist()]
-    if n % m or any(rows[i] != rows[i - i % m] for i in range(n)):
+    vectors = np.concatenate([nums[d:] - offsets, nums[d:], _scaled(rows, spec._den, den)])
+    reps = [tuple(row) for row in _reduce(nums[:d], vectors)[0].tolist()]
+    if n % m or any(reps[i] != reps[i - i % m] for i in range(n)):
         raise UnsupportedPairError(
             "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
         )
-    index = {v: i for i, v in enumerate(rows[n:2 * n])}
-    return [index[p] % m for p in rows[2 * n:]]
+    index = {v: i for i, v in enumerate(reps[n:2 * n])}
+    return [index[p] % m for p in reps[2 * n:]]
 
 
 def verify_biorthogonality(
@@ -218,12 +223,12 @@ def verify_biorthogonality(
     coeff = DualBasis.build(dom1, a, j).piece_coefficients
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
-    points = _window(combined, radius)
-    tags = _shift_tags(combined, j, points)
-    n = len(points)
+    rows, den = _window(combined, radius)
+    tags = _shift_tags(combined, j, rows)
+    n = len(rows)
     value = np.zeros((n, n), dtype=complex)
     for r, p in enumerate(a.points):
-        m = _inner_products(dom1.translate(p), points, points)
+        m = _inner_products(dom1.translate(p), rows, rows, den)
         value += _exact.mul(coeff[r, tags][:, None], m)
     value.real[np.diag_indices(n)] -= measure
     return float(np.hypot(value.real, value.imag).max())
@@ -244,14 +249,14 @@ def reconstruct_function(
     spectrum and ``dom`` the combined domain.  Grid points outside the
     domain evaluate to 0.
     """
-    points = _window(spec, radius)
+    rows, den = _window(spec, radius)
     coefficients = np.asarray(coefficients, dtype=complex)
-    if coefficients.shape != (len(points),):
+    if coefficients.shape != (len(rows),):
         raise ShapeMismatchError(
             "%d coefficients for %d enumerated spectrum points"
-            % (coefficients.shape[0] if coefficients.ndim else 1, len(points))
+            % (coefficients.shape[0] if coefficients.ndim else 1, len(rows))
         )
-    shift_index = np.array(_shift_tags(spec, dual.j, points))
+    shift_index = np.array(_shift_tags(spec, dual.j, rows))
 
     grid = np.asarray(eval_grid, dtype=float)
     if dom.dimension == 1 and grid.ndim == 1:
@@ -265,10 +270,9 @@ def reconstruct_function(
     # the first translate holding the point: boxes are translate-major
     piece = np.where(inside.any(axis=0), inside.argmax(axis=0) // (len(base._corners) // 2), -1)
 
-    freq = np.array([[float(c) for c in p] for p in points])
-    phases = np.exp(2j * np.pi * (grid @ freq.T))
+    phases = np.exp(2j * np.pi * (grid @ _exact.ratio(rows, den).T))
     inside = piece >= 0
-    multipliers = np.zeros((len(grid), len(points)), dtype=complex)
+    multipliers = np.zeros((len(grid), len(rows)), dtype=complex)
     multipliers[inside, :] = dual.piece_coefficients[piece[inside][:, None], shift_index[None, :]]
     measure = float(dom.measure)
     return (phases * multipliers) @ coefficients / measure

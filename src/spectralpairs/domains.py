@@ -126,13 +126,6 @@ class BoxDomain:
         return self.boxes
 
     @classmethod
-    def from_boxes(cls, boxes) -> "BoxDomain":
-        """Build from [(lo, hi), ...] with scalar or sequence corners."""
-        first_lo = boxes[0][0] if len(boxes) else 0
-        dimension = 1 if isinstance(first_lo, (int, float, Fraction, str)) else len(first_lo)
-        return cls(dimension, tuple((lo, hi) for lo, hi in boxes))
-
-    @classmethod
     def interval(cls, lo, hi) -> "BoxDomain":
         return cls(1, (((Fraction(lo),), (Fraction(hi),)),))
 
@@ -147,24 +140,6 @@ class BoxDomain:
         den = math.lcm(self._den, scale)
         corners = _scaled(self._corners, self._den, den) + _scaled(v, scale, den)
         return object.__new__(BoxDomain)._validate(*_lowest(corners, den), disjoint=True)
-
-    def intersection_measure(self, other: "BoxDomain") -> Fraction:
-        """|self & other|: over one denominator D, the integer sum of the
-        products of the side overlaps of every box pair, divided by D^d."""
-        n, d = len(self._corners) // 2, self.dimension
-        den = math.lcm(self._den, other._den)
-        corners = np.concatenate([_scaled(x._corners, x._den, den) for x in (self, other)])
-        corners = int_array(corners, len(corners) ** 2 * (2 * _top(corners) + 1) ** d)
-        lo, hi = corners[0::2], corners[1::2]
-        sides = np.minimum(hi[:n, None], hi[None, n:]) - np.maximum(lo[:n, None], lo[None, n:])
-        return Fraction(int(np.prod(np.maximum(sides, 0), axis=2).sum()), den**d)
-
-    def contains(self, point) -> bool:
-        """Membership of a rational or float point (a float at its exact value), half-open."""
-        p, scale = _numerators([to_vector(point, self.dimension)], self.dimension)
-        den = math.lcm(self._den, scale)
-        corners, p = _scaled(self._corners, self._den, den), _scaled(p, scale, den)
-        return bool(np.any(np.all((corners[0::2] <= p) & (p < corners[1::2]), axis=1)))
 
     def to_json_dict(self) -> dict:
         rows = _fractions(self._corners, self._den, text=True)
@@ -335,7 +310,12 @@ def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
 
 
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
-    """All spectrum points with sup-norm at most radius, lexicographically sorted.
+    """All spectrum points with sup-norm at most radius, lexicographically sorted."""
+    return _fractions(*_window_rows(s, radius))
+
+
+def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int]:
+    """The points of ``enumerate_spectrum(s, radius)`` as sorted integer rows over s's D.
 
     Over D, the points of the shift v are (t + z) g with t = v adj(g)/det(g),
     and within radius r, |t_i + z_i| <= b_i = r D sum_k |adj[k, i]|/det.  So
@@ -358,7 +338,7 @@ def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
     points = (int_array(start, bound)[:, None, :] + steps[None, :, :]).reshape(-1, d)
     inside = np.all(np.abs(points) * rd <= rn * den, axis=1)
     points = points[inside]  # distinct: shifts differ mod the lattice, generators are independent
-    return _fractions(points[np.lexsort(points.T[::-1])], den)
+    return points[np.lexsort(points.T[::-1])], den
 
 
 def root_of_unity_condition(s: Spectrum, a: FiniteSet) -> bool:

@@ -121,6 +121,8 @@ class SamplePattern:
     def from_finite_set(cls, j: FiniteSet, truncation: int) -> "SamplePattern":
         if j.dimension != 1:
             raise DimensionMismatchError("sampling patterns are one-dimensional here")
+        if not len(j):
+            raise ValueError("J is empty: Z + J/N needs at least one shift")
         return cls(tuple(Fraction(p[0], j.modulus) for p in j.points), truncation)
 
     def points(self) -> list[Fraction]:
@@ -192,6 +194,8 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
         raise DimensionMismatchError("aliasing analysis is one-dimensional here")
     if not len(a):
         raise ValueError("A is empty: Omega = [0, 1) + A needs at least one translate")
+    if not len(j):
+        raise ValueError("J is empty: Z + J/N needs at least one shift")
     k_min, k_max = operator.index(k_range[0]), operator.index(k_range[1])
     if k_min > k_max:
         raise ValueError("empty k range: %d > %d" % (k_min, k_max))

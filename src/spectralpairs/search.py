@@ -53,6 +53,8 @@ class SearchQuery:
         for name in ("modulus", "dimension"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be a positive integer" % name)
+        if self.modulus**self.dimension >= 1 << 63:  # sampled elements are drawn as int64
+            raise ValueError("N^d = %d^%d is not below 2^63" % (self.modulus, self.dimension))
         for name in ("max_results", "samples", "time_budget"):
             if not (getattr(self, name) or 0) >= 0:  # NaN too
                 raise ValueError("%s must be non-negative" % name)

@@ -453,7 +453,7 @@ def reference_alias(a, j, k_range):
             else:
                 violations.append((k, abs(value)))
         else:
-            measure = omega.intersection_measure(omega.translate((k,)))
+            measure = intersection_measure(omega, omega.translate((k,)))
             if measure == 0:
                 disjoint.append(k)
             else:

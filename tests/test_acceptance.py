@@ -147,7 +147,7 @@ def test_04_truncated_bounds_inside_predicted_constants(unit_base):
 def test_05_dual_basis_biorthogonality_and_self_duality(unit_base):
     failures = []
     # two-dimensional pair: translates (0,0), (2,0); shifts (0,0), (1,0)/4
-    dom2 = BoxDomain.from_boxes([((0, 0), (1, 1))])
+    dom2 = BoxDomain(2, (((0, 0), (1, 1)),))
     a2 = FiniteSet(4, 2, ((0, 0), (2, 0)))
     j2 = FiniteSet(4, 2, ((0, 0), (1, 0)))
     defect2 = verify_biorthogonality(dom2, integer_lattice(2), a2, j2, 3)

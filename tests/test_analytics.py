@@ -54,7 +54,7 @@ class TestExpInnerProduct:
         assert exp_inner_product(BoxDomain.interval(0, 1), 0, 0) == 1
 
     def test_forced_cancellation_is_exact(self):
-        dom = BoxDomain.from_boxes([(0, 1), (2, 3)])
+        dom = BoxDomain(1, ((0, 1), (2, 3)))
         assert exp_inner_product(dom, 0, Fraction(1, 4)) == 0
 
     def test_full_period_vanishes(self):
@@ -71,7 +71,7 @@ class TestExpInnerProduct:
             assert abs(exp_inner_product(dom, lam, mu) - quad_inner_product(dom, lam, mu)) < 1e-9
 
     def test_two_dimensional_factorizes(self):
-        dom = BoxDomain.from_boxes([((0, 0), (1, 2))])
+        dom = BoxDomain(2, (((0, 0), (1, 2)),))
         lam = (Fraction(1, 3), Fraction(0))
         got = exp_inner_product(dom, lam, (0, 0))
         x_part = exp_inner_product(BoxDomain.interval(0, 1), Fraction(1, 3), 0)
@@ -84,7 +84,7 @@ class TestGram:
         assert np.abs(gram.entries - 2 * np.eye(len(gram))).max() < 1e-10
 
     def test_single_point(self):
-        dom = BoxDomain.from_boxes([(0, 1), (2, 3)])
+        dom = BoxDomain(1, ((0, 1), (2, 3)))
         gram = build_gram(dom, integer_lattice(1), 0)
         assert gram.entries.shape == (1, 1)
         assert abs(gram.entries[0, 0] - 2) < 1e-12
@@ -255,7 +255,7 @@ class TestBiorthogonality:
         assert defect < 1e-12
 
     def test_planar_example(self):
-        base_dom = BoxDomain.from_boxes([((0, 0), (1, 1))])
+        base_dom = BoxDomain(2, (((0, 0), (1, 1)),))
         a = FiniteSet(4, 2, ((0, 0), (2, 0)))
         j = FiniteSet(4, 2, ((0, 0), (1, 0)))
         defect = verify_biorthogonality(base_dom, integer_lattice(2), a, j, 2)
@@ -275,11 +275,12 @@ class TestBiorthogonality:
         # every point enumerate_spectrum yields on the combined spectrum is
         # tagged with the s for which point - j_s/N lies in the base Z
         from spectralpairs.analytics import _shift_tags
+        from spectralpairs.domains import _window_rows
 
         a, j = golden_sets
         combined = shift_spectrum(unit_base.spectrum, j, j.modulus)
         points = enumerate_spectrum(combined, 4)
-        tags = _shift_tags(combined, j, points)
+        tags = _shift_tags(combined, j, _window_rows(combined, 4)[0])
         assert len(tags) == len(points) == 17
         for p, s in zip(points, tags):
             assert (p[0] - Fraction(j.points[s][0], j.modulus)).denominator == 1
@@ -326,9 +327,10 @@ class TestReconstructFunction:
     def _piece_value(spec, dual, radius, x, r):
         """The unit-coefficient expansion at x with translate r's multipliers."""
         from spectralpairs.analytics import _shift_tags
+        from spectralpairs.domains import _window_rows
 
         points = enumerate_spectrum(spec, radius)
-        tags = _shift_tags(spec, dual.j, points)
+        tags = _shift_tags(spec, dual.j, _window_rows(spec, radius)[0])
         return sum(
             np.exp(2j * np.pi * float(p[0]) * x) * dual.piece_coefficients[r, s]
             for p, s in zip(points, tags)
@@ -427,3 +429,30 @@ class TestReconstructFunction:
                 pair.domain, pair.spectrum, dual, np.ones(len(points) + 1), np.array([0.5]),
                 radius=2,
             )
+
+
+def test_only_build_gram_converts_the_window_to_fractions(monkeypatch, two_interval_pair):
+    """Bounds, the biorthogonality defect and reconstruction read the integer window;
+    only ``GramMatrix.points`` is built from Fractions, for its report."""
+    import spectralpairs
+
+    a, j = FiniteSet.from_ints(16, [0, 4]), FiniteSet.from_ints(16, [0, 1])
+    pair = combine_riesz(two_interval_pair, a, j).pair  # iterated: the base has two shifts
+    dual = DualBasis.build(two_interval_pair.domain, a, j)
+    points = enumerate_spectrum(pair.spectrum, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction window was built")
+
+    for module in (spectralpairs.domains, spectralpairs.analytics):
+        monkeypatch.setattr(module, "_fractions", refuse)
+    assert len(estimate_frame_bounds(pair.domain, pair.spectrum, [1, 2])) == 2
+    assert verify_biorthogonality(two_interval_pair.domain, two_interval_pair.spectrum,
+                                  a, j, 2) < 1e-10
+    ones = np.ones(len(points))
+    assert reconstruct_function(pair.domain, pair.spectrum, dual, ones, [0.5], 2).shape == (1,)
+    with pytest.raises(AssertionError, match="Fraction window"):
+        build_gram(pair.domain, pair.spectrum, 2)
+    monkeypatch.undo()
+    gram = build_gram(pair.domain, pair.spectrum, 2)
+    assert gram.points == tuple(points) and type(gram.points[0][0]) is Fraction

@@ -241,13 +241,17 @@ class TestInputHandling:
             (["gram", "--finite", "{tmp}/empty_j.json"], "J is empty"),
             (["dual", "--finite", "{tmp}/empty.json"], "A is empty"),
             (["biorth", "--finite", "{tmp}/empty.json"], "A is empty"),
+            (["sample-recon", "--finite", "{tmp}/empty_j.json", "--out", "{tmp}/s.csv"],
+             "J is empty"),
+            (["search", "--N", "2", "--d", "63", "--k", "2"], "N^d = 2^63"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
              "sample-recon-base", "search-dimension-zero", "search-negative-limit",
              "search-negative-budget", "search-nan-budget", "classify-tol", "construct-tol",
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
-             "gram-empty-j", "dual-empty", "biorth-empty"],
+             "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
+             "search-group-past-int64"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))

@@ -209,7 +209,7 @@ class TestCompleteness:
 
     def test_overlapping_translates_named_as_minkowski_translate_names_them(self):
         # [0, 2) + {0, 3, 1}: the copies by 0 and 1 overlap, found without building the domain
-        base = ContinuousPair.orthogonal(BoxDomain.from_boxes([(0, 1), (1, 2)]),
+        base = ContinuousPair.orthogonal(BoxDomain(1, ((0, 1), (1, 2))),
                                          scaled_lattice(1, "1/2"))
         a, j = FiniteSet.from_ints(6, [0, 3, 1]), FiniteSet.from_ints(6, [0, 1, 2])
         report = check_completeness_hypotheses(base, a, j)

@@ -26,66 +26,40 @@ from spectralpairs import (
 
 class TestBoxDomain:
     def test_measure(self):
-        dom = BoxDomain.from_boxes([(0, 1), (2, 3)])
+        dom = BoxDomain(1, ((0, 1), (2, 3)))
         assert dom.measure == 2
 
     def test_rational_corners(self):
-        dom = BoxDomain.from_boxes([("1/3", "2/3")])
+        dom = BoxDomain(1, (("1/3", "2/3"),))
         assert dom.measure == Fraction(1, 3)
 
     def test_no_boxes_rejected(self):
-        for make in (lambda: BoxDomain(1, ()), lambda: BoxDomain.from_boxes([])):
-            with pytest.raises(ValueError, match="a domain needs at least one box"):
-                make()
+        with pytest.raises(ValueError, match="a domain needs at least one box"):
+            BoxDomain(1, ())
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
-            BoxDomain.from_boxes([(1, 1)])
+            BoxDomain(1, ((1, 1),))
 
     def test_overlapping_boxes_rejected(self):
         with pytest.raises(OverlapError):
-            BoxDomain.from_boxes([(0, 2), (1, 3)])
+            BoxDomain(1, ((0, 2), (1, 3)))
 
     def test_touching_boxes_allowed(self):
-        dom = BoxDomain.from_boxes([(0, 1), (1, 2)])
+        dom = BoxDomain(1, ((0, 1), (1, 2)))
         assert dom.measure == 2
-
-    def test_contains_half_open(self):
-        dom = BoxDomain.interval(0, 1)
-        assert dom.contains(0.0)
-        assert dom.contains(0.999)
-        assert not dom.contains(1.0)
-
-    def test_contains_decides_exactly(self):
-        # 1/3 - 1/10^30 rounds to the float 1/3, which misplaces it on either side of 1/3
-        point = Fraction(1, 3) - Fraction(1, 10**30)
-        assert not BoxDomain.interval(Fraction(1, 3), 1).contains(point)
-        assert BoxDomain.interval(0, Fraction(1, 3)).contains(point)
-        # a float is read at its exact value, just above 1/10
-        assert BoxDomain.interval(Fraction(1, 10), 1).contains(0.1)
-        assert not BoxDomain.interval(0, Fraction(1, 10)).contains(0.1)
-        square = BoxDomain.from_boxes([((0, 0), ("1/2", 1)), (("1/2", 0), (1, "1/3"))])
-        assert square.contains(("1/2", "1/3")) is False
-        assert square.contains((Fraction(1, 2), Fraction(1, 4))) is True
-
-    def test_contains_coerces_like_the_constructor(self):
-        assert BoxDomain.interval(0, 1).contains("1/2")  # not the characters of the string
-        assert not BoxDomain.interval(0, 1).contains("3/2")
-        for point in ((0.5,), (0.5, 0.5, 7), 0.5):
-            with pytest.raises(ValueError, match="vector"):
-                unit_box(2).contains(point)
 
     def test_json_roundtrip_bytestable(self):
         import json
 
-        dom = BoxDomain.from_boxes([("0", "1/3"), ("1/2", "5/2")])
+        dom = BoxDomain(1, (("0", "1/3"), ("1/2", "5/2")))
         blob = json.dumps(dom.to_json_dict())
         again = BoxDomain.from_json_dict(json.loads(blob))
         assert again == dom
         assert json.dumps(again.to_json_dict()) == blob
 
     def test_two_dimensional(self):
-        dom = BoxDomain.from_boxes([((0, 0), (1, 1)), ((2, 0), (3, 1))])
+        dom = BoxDomain(2, (((0, 0), (1, 1)), ((2, 0), (3, 1))))
         assert dom.dimension == 2
         assert dom.measure == 2
 
@@ -100,18 +74,18 @@ class TestMinkowskiTranslate:
         assert dom.measure == 2
 
     def test_identity_translate(self):
-        base = BoxDomain.from_boxes([(0, 1), (2, 3)])
+        base = BoxDomain(1, ((0, 1), (2, 3)))
         assert minkowski_translate(base, FiniteSet.from_ints(7, [0])) == base
 
     def test_two_dimensional_translates(self):
-        square = BoxDomain.from_boxes([((0, 0), (1, 1))])
+        square = BoxDomain(2, (((0, 0), (1, 1)),))
         a = FiniteSet(4, 2, ((0, 0), (2, 0)))
         dom = minkowski_translate(square, a)
         assert len(dom.boxes) == 2
         assert dom.measure == 2
 
     def test_measure_scales_with_cardinality(self):
-        base = BoxDomain.from_boxes([("0", "1/2"), ("3/4", "1")])
+        base = BoxDomain(1, (("0", "1/2"), ("3/4", "1")))
         a = FiniteSet.from_ints(9, [0, 2, 5])
         assert minkowski_translate(base, a).measure == 3 * base.measure
 

@@ -128,7 +128,7 @@ def test_wide_differences_keep_correctly_rounded_quotients(q, data):
     differences, past 2**53, stay int64, and their float quotients still round correctly."""
     cuts = sorted(data.draw(st.sets(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8)),
                                     min_size=2, max_size=6)))
-    dom = BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
+    dom = BoxDomain(1, tuple(zip(cuts[::2], cuts[1::2])))
     lam, mu = (Fraction(data.draw(st.integers(-2 * q, 2 * q)), q) for _ in range(2))
     got = exp_inner_product(dom, lam, mu)
     assert bits(got) == bits(reference_inner_product(dom, (lam,), (mu,)))
@@ -181,7 +181,7 @@ def test_numerators_past_2_62_take_python_ints():
     den = 2**31 * 3**20
     assert 2**62 <= den < 2**63
     spec = Spectrum(1, ((1,),), ((0,), (Fraction(1, 2**31),), (Fraction(1, 3**20),)))
-    dom = BoxDomain.from_boxes([(0, Fraction(1, 2)), (1, Fraction(5, 3))])
+    dom = BoxDomain(1, ((0, Fraction(1, 2)), (1, Fraction(5, 3))))
     assert max(abs(p[0]) for p in enumerate_spectrum(spec, 1)) == 1
     assert build_gram(dom, spec, 1).entries.tobytes() == reference_gram(dom, spec, 1).tobytes()
     radii = [Fraction(1, 2), 1]

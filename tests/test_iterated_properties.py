@@ -27,6 +27,7 @@ from spectralpairs import (
     integer_lattice,
 )
 from spectralpairs.analytics import _shift_tags
+from spectralpairs.domains import _window_rows
 
 UNIT = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), integer_lattice(1))
 
@@ -65,7 +66,7 @@ def twice_combined(draw):
 def test_combining_twice_tags_every_point(data, radius):
     j1, j2, spectrum = data
     points = enumerate_spectrum(spectrum, radius)
-    tags = _shift_tags(spectrum, j2, points)
+    tags = _shift_tags(spectrum, j2, _window_rows(spectrum, radius)[0])
     assert len(tags) == len(points)
     for (x,), s in zip(points, tags):
         assert reference_in_first_spectrum(x - Fraction(j2.points[s][0], j2.modulus), j1)

@@ -86,7 +86,7 @@ def test_minkowski_translate_agrees_with_translate_scan(case):
 def test_first_translate_pair_not_first_box_pair():
     # boxes 0 and 4 ([0,2) and its translate [1,3) by 1) are the first overlapping
     # box pair, but the translates by 0 and 4 ([5,7) and [4,6)) come first in A
-    base = BoxDomain.from_boxes([(0, 2), (5, 7)])
+    base = BoxDomain(1, ((0, 2), (5, 7)))
     with pytest.raises(OverlapError) as err:
         minkowski_translate(base, FiniteSet.from_ints(16, [0, 4, 1]))
     assert err.value.offending == ((0,), (4,))

@@ -1,12 +1,14 @@
-"""Every public class or function is named by the package, a demo or the benchmark.
+"""Every public class, function and method is named by the package, a demo or the benchmark.
 
-A class or function in ``spectralpairs.__all__`` that no code in
-``src/``, ``demos/`` or ``benchmark/`` names outside its own definition is
-API that nothing needs.  ``KEEP`` lists the exceptions, each with the
-reason it stays.
+A class or function in ``spectralpairs.__all__``, or a public method,
+property or classmethod of such a class, that no code in ``src/``, ``demos/``
+or ``benchmark/`` names outside its own definition is API that nothing
+needs.  ``KEEP`` lists the exceptions, each with the reason it stays;
+members are keyed ``Class.name``.
 """
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -19,6 +21,8 @@ KEEP = {
                          "over a domain",
     "reconstruct_function": "the truncated dual-expansion reconstruction of the README; "
                             "the only reader of DualBasis.base_domain",
+    "BandlimitedSignal.sample": "the only public handle on the scalar value f(lam), as "
+                                "exp_inner_product is for the inner product",
 }
 
 
@@ -40,10 +44,28 @@ def _named(path: Path) -> set[str]:
     return found
 
 
+@functools.cache
+def _named_by_code() -> frozenset[str]:
+    return frozenset().union(*(_named(p) for top in ("src", "demos", "benchmark")
+                               for p in sorted((ROOT / top).rglob("*.py"))))
+
+
 def test_every_public_class_and_function_is_named():
-    named = set().union(*(_named(p) for top in ("src", "demos", "benchmark")
-                          for p in sorted((ROOT / top).rglob("*.py"))))
+    named = _named_by_code()
     public = {name for name in spectralpairs.__all__
               if inspect.isclass(obj := getattr(spectralpairs, name)) or inspect.isfunction(obj)}
-    assert KEEP.keys() <= public
+    assert {k for k in KEEP if "." not in k} <= public
     assert sorted(public - named - KEEP.keys()) == []
+
+
+def test_every_public_method_is_named():
+    kinds = (property, classmethod, staticmethod)
+    members = {}  # "Class.name" -> name, for what each public class itself defines
+    for name in spectralpairs.__all__:
+        if inspect.isclass(cls := getattr(spectralpairs, name)):
+            members.update(("%s.%s" % (name, attr), attr) for attr, member in vars(cls).items()
+                           if not attr.startswith("_")
+                           and (inspect.isfunction(member) or isinstance(member, kinds)))
+    assert {k for k in KEEP if "." in k} <= members.keys()
+    named = _named_by_code()
+    assert sorted(k for k, attr in members.items() if attr not in named and k not in KEEP) == []

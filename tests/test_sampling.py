@@ -139,6 +139,14 @@ class TestAliasCancellation:
         assert report.passed
         assert report.cancelled == ()
 
+    def test_empty_j_is_rejected_by_name(self):
+        # no shift leaves no pattern: the reconstruction would divide by #J = 0
+        a, empty = FiniteSet.from_ints(4, [0, 2]), FiniteSet(4, 1, ())
+        with pytest.raises(ValueError, match="J is empty"):
+            SamplePattern.from_finite_set(empty, 2)
+        with pytest.raises(ValueError, match="J is empty"):
+            verify_alias_cancellation(a, empty, (-2, 2))
+
     def test_k_range_ends_must_be_integers(self):
         a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
         for k_range in ((-2.7, 2.9), (-2, 2.0), (Fraction(-2), 2)):
@@ -278,7 +286,7 @@ def test_alias_table_past_2_62_takes_python_ints():
        st.lists(st.floats(-7, 7, allow_nan=False), min_size=1, max_size=20))
 def test_hat_edges_converted_once_keep_the_bits(cuts, xs):
     cuts = sorted(cuts)
-    dom = BoxDomain.from_boxes(list(zip(cuts[::2], cuts[1::2])))
+    dom = BoxDomain(1, tuple(zip(cuts[::2], cuts[1::2])))
     signal = BandlimitedSignal(dom, tuple((1.5, -0.25 + 1j, 0.125)[:1 + i % 3]
                                           for i in range(len(dom.boxes))))
     points = xs + [float(c) for c in cuts] + [np.float64(x) for x in xs]

@@ -196,6 +196,13 @@ class TestEnumeratePairs:
             with pytest.raises(ValueError, match="search targets"):
                 SearchQuery(4, 1, 2, kind)
 
+    def test_group_order_must_be_below_2_63(self):
+        """Sampled elements are drawn as int64 indices into the N^d group elements."""
+        result = enumerate_pairs(SearchQuery(2, 62, 2, samples=4, seed=1))
+        assert (result.examined, result.partial) == (4, False)
+        with pytest.raises(ValueError, match=r"N\^d = 2\^63 is not below 2\^63"):
+            SearchQuery(2, 63, 2, samples=4, seed=1)
+
     def test_negative_samples_are_rejected(self):
         with pytest.raises(ValueError, match="samples must be non-negative"):
             SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=-5)
