@@ -21,17 +21,16 @@ below rather than trusted.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _exact
 from ._exact import Vec, to_vector
-from .domains import (BoxDomain, Spectrum, _fractions, _numerators, _reduce, _scaled, _top,
+from .domains import (BoxDomain, Spectrum, _fractions, _numerators, _shift_tags, _top,
                       _translates, _window_rows, shift_spectrum)
-from .errors import EmptySpectrumError, ShapeMismatchError, UnsupportedPairError
+from .errors import EmptySpectrumError, ShapeMismatchError
 from .finite_pairs import (
     TOLERANCES,
     FiniteSet,
@@ -39,8 +38,9 @@ from .finite_pairs import (
     _checked_inverse,
     _piece_coefficients,
     build_evaluation_matrix,
-    classify_finite_pair,
 )
+
+_WINDOW_LIMIT = 2**12  # points: a window's n x n tables take about 120 bytes an entry, 2 GiB
 
 
 def _inner_products(dom: BoxDomain, rows, cols, den: int) -> np.ndarray:
@@ -82,13 +82,15 @@ def exp_inner_product(dom: BoxDomain, lam, mu) -> complex:
     return complex(_inner_products(dom, nums[:1], nums[1:], den)[0, 0])
 
 
-def _window(spec: Spectrum, radius) -> tuple[np.ndarray, int]:
-    """The spectrum points within the sup-norm radius, as the sorted integer rows over
-    their denominator that ``enumerate_spectrum`` converts; raises if there are none."""
-    rows, den = _window_rows(spec, radius)
+def _window(spec: Spectrum, radius) -> tuple[np.ndarray, int, np.ndarray]:
+    """``_window_rows(spec, radius)``: the sorted integer rows and the stored shift of each
+    point within the radius; raises if there are none, or more than ``_WINDOW_LIMIT``."""
+    rows, den, shift = _window_rows(spec, radius)
     if not len(rows):
         raise EmptySpectrumError("no spectrum points within radius %s" % radius)
-    return rows, den
+    if len(rows) > _WINDOW_LIMIT:
+        raise ValueError("radius %s holds %d points, over %d" % (radius, len(rows), _WINDOW_LIMIT))
+    return rows, den, shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +127,7 @@ def _gram(dom: BoxDomain, rows: np.ndarray, den: int) -> np.ndarray:
 
 def build_gram(dom: BoxDomain, spec: Spectrum, radius) -> GramMatrix:
     """Gram matrix of all spectrum points within the given sup-norm radius."""
-    rows, den = _window(spec, radius)
+    rows, den, _ = _window(spec, radius)
     return GramMatrix(tuple(_fractions(rows, den)), _gram(dom, rows, den))
 
 
@@ -146,7 +148,7 @@ def estimate_frame_bounds(dom: BoxDomain, spec: Spectrum, radii) -> list[tuple[f
     if not radii:
         return []
     _window(spec, radii[0])  # the smallest radius raises as its own Gram matrix would
-    rows, den = _window(spec, radii[-1])
+    rows, den, _ = _window(spec, radii[-1])
     entries = _gram(dom, rows, den)
     norms = np.abs(rows).max(axis=1).astype(object)  # sup norms over den, as Python ints
     out = []
@@ -169,16 +171,15 @@ class DualBasis:
     a: FiniteSet
     j: FiniteSet
     base_domain: BoxDomain
+    is_self_dual: bool = field(init=False)  # the classifier's orthogonal kind, set by build
 
     @classmethod
     def build(cls, base_domain: BoxDomain, a: FiniteSet, j: FiniteSet) -> "DualBasis":
         f = build_evaluation_matrix(a, j).entries
-        inv = _checked_inverse(f)
-        return cls(len(a) * inv, _piece_coefficients(f, inv), a, j, base_domain)
-
-    @property
-    def is_self_dual(self) -> bool:
-        return classify_finite_pair(self.a, self.j).kind is PairKind.ORTHOGONAL_BASIS
+        inv, rank = _checked_inverse(f)
+        dual = cls(len(a) * inv, _piece_coefficients(f, inv), a, j, base_domain)
+        vars(dual)["is_self_dual"] = rank == PairKind.ORTHOGONAL_BASIS.rank
+        return dual
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,29 +187,6 @@ class DualBasis:
             "piece_coefficients": _exact.complex_pairs(self.piece_coefficients),
             "self_dual": self.is_self_dual,
         }
-
-
-def _shift_tags(spec: Spectrum, j: FiniteSet, rows: np.ndarray) -> list[int]:
-    """Index s of each point of spec = base + J/N, so that point - j_s/N is in base;
-    the points are integer rows over the spectrum's denominator, as a window gives them.
-
-    ``shift_spectrum`` lays the shifts out base-shift-major, shift
-    i = v_b + j_s/N with i = b #J + s; a point's tag is the index of the
-    shift it reduces to, mod #J.  The layout is checked exactly first, so
-    a spectrum built any other way raises instead of mislabelling points.
-    """
-    m, n, d = len(j), len(spec._nums) - spec.dimension, spec.dimension
-    den = math.lcm(spec._den, j.modulus)
-    nums = _scaled(spec._nums, spec._den, den)
-    offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
-    vectors = np.concatenate([nums[d:] - offsets, nums[d:], _scaled(rows, spec._den, den)])
-    reps = [tuple(row) for row in _reduce(nums[:d], vectors)[0].tolist()]
-    if n % m or any(reps[i] != reps[i - i % m] for i in range(n)):
-        raise UnsupportedPairError(
-            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
-        )
-    index = {v: i for i, v in enumerate(reps[n:2 * n])}
-    return [index[p] % m for p in reps[2 * n:]]
 
 
 def verify_biorthogonality(
@@ -223,8 +201,8 @@ def verify_biorthogonality(
     coeff = DualBasis.build(dom1, a, j).piece_coefficients
     measure = float(dom1.measure) * len(a)
     combined = shift_spectrum(spec, j, j.modulus)
-    rows, den = _window(combined, radius)
-    tags = _shift_tags(combined, j, rows)
+    rows, den, shift = _window(combined, radius)
+    tags = _shift_tags(combined, j)[shift]
     n = len(rows)
     value = np.zeros((n, n), dtype=complex)
     for r, p in enumerate(a.points):
@@ -249,14 +227,14 @@ def reconstruct_function(
     spectrum and ``dom`` the combined domain.  Grid points outside the
     domain evaluate to 0.
     """
-    rows, den = _window(spec, radius)
+    rows, den, shift = _window(spec, radius)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(rows),):
         raise ShapeMismatchError(
             "%d coefficients for %d enumerated spectrum points"
             % (coefficients.shape[0] if coefficients.ndim else 1, len(rows))
         )
-    shift_index = np.array(_shift_tags(spec, dual.j, rows))
+    shift_index = _shift_tags(spec, dual.j)[shift]
 
     grid = np.asarray(eval_grid, dtype=float)
     if dom.dimension == 1 and grid.ndim == 1:

@@ -27,10 +27,12 @@ from .errors import (
     DuplicateSpectrumError,
     NonInvertibleError,
     OverlapError,
+    UnsupportedPairError,
 )
 from .finite_pairs import FiniteSet
 
 Box = tuple[Vec, Vec]  # (lower corner, upper corner)
+_GRID_LIMIT = 2**24  # candidate points of one window: about 60 bytes each in 2-d, 1 GiB
 
 
 def _numerators(rows, width: int) -> tuple[np.ndarray, int]:
@@ -309,13 +311,30 @@ def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
     return object.__new__(Spectrum)._validate(np.concatenate([nums[:d], shifts]), scale)
 
 
+def _shift_tags(spec: Spectrum, j: FiniteSet) -> np.ndarray:
+    """Index s of each stored shift of spec = base + J/N with shift - j_s/N in base: i mod #J
+    for shift i, as ``shift_spectrum`` lays them out base-shift-major.  The layout is checked
+    exactly, so a spectrum built any other way raises instead of mislabelling points."""
+    m, n, d = len(j), len(spec._nums) - spec.dimension, spec.dimension
+    den = math.lcm(spec._den, j.modulus)
+    nums = _scaled(spec._nums, spec._den, den)
+    offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
+    reps = _reduce(nums[:d], nums[d:] - offsets)[0]  # the base shift of each shift
+    if n % m or np.any(reps.reshape(-1, m, d) != reps[::m, None]):
+        raise UnsupportedPairError(
+            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
+        )
+    return np.arange(n) % m
+
+
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
     """All spectrum points with sup-norm at most radius, lexicographically sorted."""
-    return _fractions(*_window_rows(s, radius))
+    return _fractions(*_window_rows(s, radius)[:2])
 
 
-def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int]:
-    """The points of ``enumerate_spectrum(s, radius)`` as sorted integer rows over s's D.
+def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int, np.ndarray]:
+    """The points of ``enumerate_spectrum(s, radius)`` as sorted integer rows over s's D,
+    and the index of the stored shift whose grid each row came from.
 
     Over D, the points of the shift v are (t + z) g with t = v adj(g)/det(g),
     and within radius r, |t_i + z_i| <= b_i = r D sum_k |adj[k, i]|/det.  So
@@ -332,13 +351,15 @@ def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int]:
     reach = np.array([rn * den * sum(map(abs, col)) for col in adj.T.tolist()], dtype=object)
     start = v + -((v.astype(object) @ adj * rd + reach) // (det * rd)) @ g
     widths = [2 * b // (det * rd) + 1 for b in reach.tolist()]
+    if len(v) * math.prod(widths) > _GRID_LIMIT:
+        raise ValueError("radius %s needs more than %d candidate points" % (radius, _GRID_LIMIT))
     grid = np.stack(np.meshgrid(*(np.arange(w) for w in widths), indexing="ij"), -1)
     bound = max((_top(start) + d * max(widths) * _top(g)) * rd, rn * den)
     steps = int_array(grid.reshape(-1, d), bound) @ int_array(g, bound)
     points = (int_array(start, bound)[:, None, :] + steps[None, :, :]).reshape(-1, d)
-    inside = np.all(np.abs(points) * rd <= rn * den, axis=1)
-    points = points[inside]  # distinct: shifts differ mod the lattice, generators are independent
-    return points[np.lexsort(points.T[::-1])], den
+    inside = np.flatnonzero(np.all(np.abs(points) * rd <= rn * den, axis=1))
+    order = inside[np.lexsort(points[inside].T[::-1])]  # distinct: shifts differ mod the lattice
+    return points[order], den, order // len(steps)  # the candidates are shift-major
 
 
 def root_of_unity_condition(s: Spectrum, a: FiniteSet) -> bool:

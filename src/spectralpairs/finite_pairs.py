@@ -155,13 +155,14 @@ def build_evaluation_matrix(a: FiniteSet, j: FiniteSet) -> EvaluationMatrix:
     return EvaluationMatrix(cis(-(jm @ am.T), n))
 
 
-def _checked_inverse(f: np.ndarray) -> np.ndarray:
-    """F^{-1} for a square evaluation matrix that the classification rule calls a Riesz basis."""
+def _checked_inverse(f: np.ndarray) -> tuple[np.ndarray, int]:
+    """F^{-1} and the kind rank of a square evaluation matrix the classifier calls Riesz or more."""
     if f.shape[0] != f.shape[1]:
         raise NonInvertibleError("evaluation matrix is %dx%d, need square" % f.shape)
-    if _classify_stacked(f[None])[0][0] < PairKind.RIESZ_BASIS.rank:
+    rank = _classify_stacked(f[None])[0][0].item()
+    if rank < PairKind.RIESZ_BASIS.rank:
         raise NonInvertibleError("evaluation matrix is singular or ill-conditioned")
-    return np.linalg.inv(f)
+    return np.linalg.inv(f), rank
 
 
 def _piece_coefficients(f: np.ndarray, inv: np.ndarray) -> np.ndarray:

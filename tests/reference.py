@@ -75,7 +75,7 @@ def reference_evaluation_matrix(a, j):
 
 
 def reference_piece_coefficients(f):
-    inv = _checked_inverse(f)
+    inv = _checked_inverse(f)[0]
     k = f.shape[1]
     c = np.empty((k, k), dtype=complex)
     for r in range(k):
@@ -130,7 +130,7 @@ def classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     return ranks[keep], lower[keep], upper[keep], condition[keep], keep
 
 
-# --- domains: Fraction elimination, lattice reduction, boxes and their builders -----------
+# --- domains: Fraction elimination, lattice reduction, shift tags, boxes, builders --------
 
 
 def dot(u, v) -> Fraction:
@@ -229,6 +229,25 @@ def enumerate_spectrum(s, radius):
     return [tuple(Fraction(c, den) for c in p) for p in sorted(points)]
 
 
+def window_shifts(s, radius):
+    """The stored shift of s that each point of ``enumerate_spectrum(s, radius)`` reduces to."""
+    return [reduce_mod_lattice(s.basis, p) for p in enumerate_spectrum(s, radius)]
+
+
+def shift_tags(spec, j, points):
+    """Index s of each point of spec = base + J/N with point - j_s/N in base."""
+    m = len(j)
+    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
+    reduce = functools.partial(reduce_mod_lattice, spec.basis)
+    bases = [reduce(vec_sub(v, offsets[i % m])) for i, v in enumerate(spec.shifts)]
+    if len(bases) % m or any(bases[i] != bases[i - i % m] for i in range(len(bases))):
+        raise UnsupportedPairError(
+            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
+        )
+    index = {v: i for i, v in enumerate(spec.shifts)}
+    return [index[reduce(p)] % m for p in points]
+
+
 def root_of_unity_condition(s, a) -> bool:
     """g . a and v . a are integers for every generator g, shift v and a in A."""
     return all(dot(w, p).denominator == 1 for p in a.points for w in s.basis + s.shifts)
@@ -313,21 +332,7 @@ def fraction_product(p1, p2):
     return BoxDomain(d1 + d2, boxes), Spectrum(d1 + d2, basis, shifts)
 
 
-# --- analytics: shift tags, inner products, Gram matrices, bounds, biorthogonality --------
-
-
-def shift_tags(spec, j, points):
-    """Index s of each point of spec = base + J/N with point - j_s/N in base."""
-    m = len(j)
-    offsets = [tuple(Fraction(c, j.modulus) for c in p) for p in j.points]
-    reduce = functools.partial(reduce_mod_lattice, spec.basis)
-    bases = [reduce(vec_sub(v, offsets[i % m])) for i, v in enumerate(spec.shifts)]
-    if len(bases) % m or any(bases[i] != bases[i - i % m] for i in range(len(bases))):
-        raise UnsupportedPairError(
-            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
-        )
-    index = {v: i for i, v in enumerate(spec.shifts)}
-    return [index[reduce(p)] % m for p in points]
+# --- analytics: inner products, Gram matrices, bounds, biorthogonality --------------------
 
 
 def reference_in_first_spectrum(x, j1):

@@ -195,6 +195,19 @@ class TestFiniteDual:
         with pytest.raises(NonInvertibleError):
             unit_dual(FiniteSet.from_ints(4, [0]), FiniteSet.from_ints(4, [0, 1]))
 
+    def test_self_duality_is_the_rank_the_inverse_check_decided(
+            self, monkeypatch, two_interval_sets, golden_sets):
+        # one classification per dual: its JSON runs no second SVD
+        from spectralpairs import finite_pairs
+
+        classify, calls = finite_pairs._classify_stacked, []
+        monkeypatch.setattr(finite_pairs, "_classify_stacked",
+                            lambda *args: calls.append(args) or classify(*args))
+        for sets, self_dual in ((two_interval_sets, True), (golden_sets, False)):
+            calls.clear()
+            assert unit_dual(*sets).to_json_dict()["self_dual"] is self_dual
+            assert len(calls) == 1
+
 
 class TestDualPieceCoefficients:
     def test_unitary_pair_coefficients_are_one(self, two_interval_sets):
@@ -274,13 +287,12 @@ class TestBiorthogonality:
     def test_internal_enumeration_matches_public_one(self, unit_base, golden_sets):
         # every point enumerate_spectrum yields on the combined spectrum is
         # tagged with the s for which point - j_s/N lies in the base Z
-        from spectralpairs.analytics import _shift_tags
-        from spectralpairs.domains import _window_rows
+        from spectralpairs.domains import _shift_tags, _window_rows
 
         a, j = golden_sets
         combined = shift_spectrum(unit_base.spectrum, j, j.modulus)
         points = enumerate_spectrum(combined, 4)
-        tags = _shift_tags(combined, j, _window_rows(combined, 4)[0])
+        tags = _shift_tags(combined, j)[_window_rows(combined, 4)[2]]
         assert len(tags) == len(points) == 17
         for p, s in zip(points, tags):
             assert (p[0] - Fraction(j.points[s][0], j.modulus)).denominator == 1
@@ -326,11 +338,10 @@ class TestReconstructFunction:
     @staticmethod
     def _piece_value(spec, dual, radius, x, r):
         """The unit-coefficient expansion at x with translate r's multipliers."""
-        from spectralpairs.analytics import _shift_tags
-        from spectralpairs.domains import _window_rows
+        from spectralpairs.domains import _shift_tags, _window_rows
 
         points = enumerate_spectrum(spec, radius)
-        tags = _shift_tags(spec, dual.j, _window_rows(spec, radius)[0])
+        tags = _shift_tags(spec, dual.j)[_window_rows(spec, radius)[2]]
         return sum(
             np.exp(2j * np.pi * float(p[0]) * x) * dual.piece_coefficients[r, s]
             for p, s in zip(points, tags)

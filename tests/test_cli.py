@@ -244,6 +244,13 @@ class TestInputHandling:
             (["sample-recon", "--finite", "{tmp}/empty_j.json", "--out", "{tmp}/s.csv"],
              "J is empty"),
             (["search", "--N", "2", "--d", "63", "--k", "2"], "N^d = 2^63"),
+            # windows past the analytics tables' limit, and a grid past the enumeration's
+            (["gram", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "1000000"],
+             "radius 1000000 holds 4000001 points"),
+            (["biorth", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "100000"],
+             "radius 100000 holds 400001 points"),
+            (["bounds", "--N", "4", "--A", "0,2", "--J", "0,1", "--radii", "1e400"],
+             "candidate points"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
@@ -251,7 +258,8 @@ class TestInputHandling:
              "search-negative-budget", "search-nan-budget", "classify-tol", "construct-tol",
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
              "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
-             "search-group-past-int64"],
+             "search-group-past-int64", "gram-window-past-limit", "biorth-window-past-limit",
+             "bounds-grid-past-limit"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))

@@ -237,7 +237,7 @@ class TestClassification:
         riesz = _classify_stacked(f[None])[0][0] >= PairKind.RIESZ_BASIS.rank
         assert riesz == (largest < TOLERANCES.condition_cap)
         if riesz:
-            assert np.array_equal(_checked_inverse(f), np.linalg.inv(f))
+            assert np.array_equal(_checked_inverse(f)[0], np.linalg.inv(f))
         else:
             with pytest.raises(NonInvertibleError):
                 _checked_inverse(f)

@@ -1,7 +1,7 @@
 """Differential tests: integer geometry in ``domains`` against the Fraction path.
 
-``Spectrum`` reduction, ``enumerate_spectrum``, ``root_of_unity_condition``
-and ``analytics._shift_tags`` decide on
+``Spectrum`` reduction, ``enumerate_spectrum`` and the shift of each of its
+points, ``root_of_unity_condition`` and ``_shift_tags`` decide on
 integer numerators over one denominator.  The references in ``reference``
 are the Fraction functions they replaced.  Results, their order and the
 text of every error must be the same.  The builders ``minkowski_translate``,
@@ -14,7 +14,6 @@ with integers past 2**62, which takes the Python-int path of
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import reference as ref
 from hypothesis import example, given, settings
@@ -41,8 +40,7 @@ from spectralpairs import (
     shift_spectrum,
     verify_biorthogonality,
 )
-from spectralpairs.analytics import _shift_tags
-from spectralpairs.domains import _numerators, _window_rows
+from spectralpairs.domains import _numerators, _shift_tags, _window_rows
 
 
 def outcome(fn, *args):
@@ -59,6 +57,8 @@ def test_enumerate_spectrum_agrees_with_fraction_path(s, radius):
     got = enumerate_spectrum(s, radius)
     assert got == ref.enumerate_spectrum(s, radius)
     assert all(type(c) is Fraction for p in got for c in p)
+    shift = _window_rows(s, radius)[2]
+    assert [s.shifts[i] for i in shift.tolist()] == ref.window_shifts(s, radius)
 
 
 @st.composite
@@ -110,8 +110,9 @@ def test_shift_tags_agree_with_fraction_path(case, radius, laid_out):
     except DuplicateSpectrumError:
         return
     points = enumerate_spectrum(spec, radius)
-    rows = _window_rows(spec, radius)[0]
-    assert outcome(_shift_tags, spec, j, rows) == outcome(ref.shift_tags, spec, j, points)
+    shift = _window_rows(spec, radius)[2]
+    got = outcome(lambda: _shift_tags(spec, j)[shift].tolist())
+    assert got == outcome(ref.shift_tags, spec, j, points)
 
 
 def test_numerators_past_2_62_take_python_ints():
@@ -144,12 +145,8 @@ def test_numerators_past_2_62_take_python_ints():
     j = FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1)))
     spec = shift_spectrum(Spectrum(2, basis, shifts[:1]), j, 4)
     points = enumerate_spectrum(spec, 3)
-    assert _shift_tags(spec, j, _window_rows(spec, 3)[0]) == ref.shift_tags(spec, j, points)
-    # zero rows, over a denominator past 2**63, take Python ints too
-    spec = shift_spectrum(Spectrum(2, basis), j, 4)
-    for points in ([(Fraction(0),) * 2], []):
-        rows = np.zeros((len(points), 2), dtype=np.int64)
-        assert _shift_tags(spec, j, rows) == ref.shift_tags(spec, j, points)
+    tags = _shift_tags(spec, j)[_window_rows(spec, 3)[2]]
+    assert tags.tolist() == ref.shift_tags(spec, j, points)
     # boxes and sample points over a denominator past 2**62
     base = BoxDomain.interval(Fraction(1, BIG), 1 + Fraction(1, BIG))  # A holds 0
     pair = FiniteSet.from_ints(2, [0, 1])

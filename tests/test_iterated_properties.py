@@ -26,8 +26,7 @@ from spectralpairs import (
     enumerate_spectrum,
     integer_lattice,
 )
-from spectralpairs.analytics import _shift_tags
-from spectralpairs.domains import _window_rows
+from spectralpairs.domains import _shift_tags, _window_rows
 
 UNIT = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), integer_lattice(1))
 
@@ -66,7 +65,7 @@ def twice_combined(draw):
 def test_combining_twice_tags_every_point(data, radius):
     j1, j2, spectrum = data
     points = enumerate_spectrum(spectrum, radius)
-    tags = _shift_tags(spectrum, j2, _window_rows(spectrum, radius)[0])
+    tags = _shift_tags(spectrum, j2)[_window_rows(spectrum, radius)[2]]
     assert len(tags) == len(points)
     for (x,), s in zip(points, tags):
         assert reference_in_first_spectrum(x - Fraction(j2.points[s][0], j2.modulus), j1)

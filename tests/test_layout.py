@@ -2,7 +2,9 @@
 every shared strategy or pinned case in ``strategies.py``, so no test module imports
 another and none keeps a reference of its own.  A function named ``reference_*`` or
 ``fraction_*`` is a reference by name.  And the layout of the package: every name a
-module of ``spectralpairs`` imports is used there (``__init__.py`` re-exports, exempt).
+module of ``spectralpairs`` imports is used there (``__init__.py`` re-exports, exempt),
+and lattice arithmetic stays in ``domains``, the one module that decides where a point
+lies modulo a lattice.
 """
 
 import ast
@@ -48,4 +50,15 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_name_a_package_module_imports_is_used():
     found = {path.name: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_only_domains_imports_lattice_arithmetic():
+    lattice = {"_reduce", "_lattice", "adjugate"}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "domains.py":
+            names = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+            found[path.name] = sorted(names & lattice)
     assert {name: names for name, names in found.items() if names} == {}

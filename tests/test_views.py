@@ -44,8 +44,7 @@ from spectralpairs import (
     unit_box,
     verify_biorthogonality,
 )
-from spectralpairs.analytics import _shift_tags
-from spectralpairs.domains import _fractions, _window_rows
+from spectralpairs.domains import _fractions, _shift_tags, _window_rows
 
 VIEWS = ("boxes", "basis", "shifts")
 
@@ -127,7 +126,7 @@ def test_builders_leave_the_views_unbuilt():
     assert check_completeness_hypotheses(level1, a2, j2).applies
     assert verify_biorthogonality(*base, a2, j2, 1) < 1e-10
     points = enumerate_spectrum(spec, 1)
-    assert _shift_tags(spec, j2, _window_rows(spec, 1)[0]) == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert _shift_tags(spec, j2)[_window_rows(spec, 1)[2]].tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
     dual = DualBasis.build(level1.domain, a2, j2)
     assert reconstruct_function(dom, spec, dual, np.zeros(len(points)), [0.5], 1).shape == (1,)
     for x in (*base, dom, spec):
@@ -211,3 +210,5 @@ def test_enumeration_is_sorted_and_repeats_no_point(case, radius):
     got = enumerate_spectrum(s, radius)
     assert got == sorted(set(got)) == ref.enumerate_spectrum(s, radius)
     assert all(type(c) is Fraction for p in got for c in p)
+    shift = _window_rows(s, radius)[2]
+    assert [s.shifts[i] for i in shift.tolist()] == ref.window_shifts(s, radius)
