@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _exact
 from ._exact import Vec, to_vector
-from .domains import (BoxDomain, Spectrum, _fractions, _numerators, _shift_tags, _top,
+from .domains import (BoxDomain, Spectrum, _fractions, _numerators, _radius_text, _top,
                       _translates, _window_rows, shift_spectrum)
 from .errors import EmptySpectrumError, ShapeMismatchError
 from .finite_pairs import (
@@ -87,9 +87,10 @@ def _window(spec: Spectrum, radius) -> tuple[np.ndarray, int, np.ndarray]:
     point within the radius; raises if there are none, or more than ``_WINDOW_LIMIT``."""
     rows, den, shift = _window_rows(spec, radius)
     if not len(rows):
-        raise EmptySpectrumError("no spectrum points within radius %s" % radius)
+        raise EmptySpectrumError("no spectrum points within radius %s" % _radius_text(radius))
     if len(rows) > _WINDOW_LIMIT:
-        raise ValueError("radius %s holds %d points, over %d" % (radius, len(rows), _WINDOW_LIMIT))
+        raise ValueError("radius %s holds %d points, over %d"
+                         % (_radius_text(radius), len(rows), _WINDOW_LIMIT))
     return rows, den, shift
 
 
@@ -200,9 +201,8 @@ def verify_biorthogonality(
     """
     coeff = DualBasis.build(dom1, a, j).piece_coefficients
     measure = float(dom1.measure) * len(a)
-    combined = shift_spectrum(spec, j, j.modulus)
-    rows, den, shift = _window(combined, radius)
-    tags = _shift_tags(combined, j)[shift]
+    rows, den, shift = _window(shift_spectrum(spec, j, j.modulus), radius)
+    tags = shift % len(j)  # shift_spectrum's layout: stored shift b #J + s
     n = len(rows)
     value = np.zeros((n, n), dtype=complex)
     for r, p in enumerate(a.points):
@@ -212,37 +212,30 @@ def verify_biorthogonality(
     return float(np.hypot(value.real, value.imag).max())
 
 
-def reconstruct_function(
-    dom: BoxDomain,
-    spec: Spectrum,
-    dual: DualBasis,
-    coefficients,
-    eval_grid,
-    radius,
-) -> np.ndarray:
+def reconstruct_function(spec: Spectrum, dual: DualBasis, coefficients, eval_grid,
+                         radius) -> np.ndarray:
     """Evaluate the truncated dual expansion |Omega|^{-1} sum <u,e> g at grid points.
 
-    ``coefficients`` must be indexed consistently with
-    ``enumerate_spectrum(spec, radius)``; ``spec`` is the combined
-    spectrum and ``dom`` the combined domain.  Grid points outside the
-    domain evaluate to 0.
+    ``spec`` is the base spectrum, as in ``verify_biorthogonality``: the expansion runs over
+    ``shift_spectrum(spec, dual.j, N)`` on Omega = ``dual.base_domain`` + ``dual.a``, and
+    ``coefficients`` follow ``enumerate_spectrum`` of that spectrum at the radius.  Grid
+    points outside Omega evaluate to 0.
     """
-    rows, den, shift = _window(spec, radius)
+    j, base = dual.j, dual.base_domain
+    rows, den, shift = _window(shift_spectrum(spec, j, j.modulus), radius)
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape != (len(rows),):
         raise ShapeMismatchError(
             "%d coefficients for %d enumerated spectrum points"
             % (coefficients.shape[0] if coefficients.ndim else 1, len(rows))
         )
-    shift_index = _shift_tags(spec, dual.j)[shift]
 
     grid = np.asarray(eval_grid, dtype=float)
-    if dom.dimension == 1 and grid.ndim == 1:
+    if base.dimension == 1 and grid.ndim == 1:
         grid = grid[:, None]
-    if grid.ndim != 2 or grid.shape[1] != dom.dimension:
-        raise ShapeMismatchError("evaluation grid must be (m, %d) points" % dom.dimension)
+    if grid.ndim != 2 or grid.shape[1] != base.dimension:
+        raise ShapeMismatchError("evaluation grid must be (m, %d) points" % base.dimension)
 
-    base = dual.base_domain
     corners = _exact.ratio(_translates(base, dual.a)[0], base._den)
     inside = np.all((corners[0::2, None] <= grid) & (grid < corners[1::2, None]), axis=2)
     # the first translate holding the point: boxes are translate-major
@@ -251,6 +244,6 @@ def reconstruct_function(
     phases = np.exp(2j * np.pi * (grid @ _exact.ratio(rows, den).T))
     inside = piece >= 0
     multipliers = np.zeros((len(grid), len(rows)), dtype=complex)
-    multipliers[inside, :] = dual.piece_coefficients[piece[inside][:, None], shift_index[None, :]]
-    measure = float(dom.measure)
+    multipliers[inside, :] = dual.piece_coefficients[piece[inside][:, None], shift % len(j)]
+    measure = float(base.measure * len(dual.a))  # rounded once: float(|Omega|) for disjoint copies
     return (phases * multipliers) @ coefficients / measure

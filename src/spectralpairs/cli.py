@@ -53,6 +53,8 @@ from .sampling import (
 )
 from .search import SearchQuery, enumerate_pairs
 
+_GRID_LIMIT = 2**20  # sample-recon --grid points: about 250 bytes each as CSV rows, 256 MiB
+
 _COMBINERS = {
     "frame": combine_frame,
     "riesz": combine_riesz,
@@ -271,6 +273,8 @@ def _cmd_sample_recon(ns) -> int:
     a, j = _finite_pair(ns)
     if a.dimension != 1:
         raise InputError("sample-recon is one-dimensional")
+    if ns.grid > _GRID_LIMIT:
+        raise InputError("--grid %d is over %d points" % (ns.grid, _GRID_LIMIT))
     # [0,1) + A sampled on Z + J/N: the setting that verify_alias_cancellation certifies
     omega = minkowski_translate(unit_box(1), a)
     signal = BandlimitedSignal.indicator(omega)

@@ -17,18 +17,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 
 import numpy as np
 
 from ._exact import Vec, adjugate, common_denominator, int_array, to_vector
-from .errors import (
-    DimensionMismatchError,
-    DuplicateSpectrumError,
-    NonInvertibleError,
-    OverlapError,
-    UnsupportedPairError,
-)
+from .errors import DimensionMismatchError, DuplicateSpectrumError, NonInvertibleError, OverlapError
 from .finite_pairs import FiniteSet
 
 Box = tuple[Vec, Vec]  # (lower corner, upper corner)
@@ -297,7 +292,8 @@ def minkowski_translate(base: BoxDomain, a: FiniteSet) -> BoxDomain:
 
 
 def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
-    """The spectrum base + J/n; shifts must stay distinct modulo the lattice."""
+    """The spectrum base + J/n; shifts must stay distinct modulo the lattice.  They are laid
+    out base-shift-major, as the analytics read them: stored shift b #J + s is v_b + j_s/n."""
     _same_dimension("spectrum", base, j)
     if not len(j):
         raise ValueError("J is empty: a spectrum needs at least one shift")
@@ -311,25 +307,16 @@ def shift_spectrum(base: Spectrum, j: FiniteSet, n: int) -> Spectrum:
     return object.__new__(Spectrum)._validate(np.concatenate([nums[:d], shifts]), scale)
 
 
-def _shift_tags(spec: Spectrum, j: FiniteSet) -> np.ndarray:
-    """Index s of each stored shift of spec = base + J/N with shift - j_s/N in base: i mod #J
-    for shift i, as ``shift_spectrum`` lays them out base-shift-major.  The layout is checked
-    exactly, so a spectrum built any other way raises instead of mislabelling points."""
-    m, n, d = len(j), len(spec._nums) - spec.dimension, spec.dimension
-    den = math.lcm(spec._den, j.modulus)
-    nums = _scaled(spec._nums, spec._den, den)
-    offsets = _scaled(np.array([j.points[i % m] for i in range(n)], dtype=object), j.modulus, den)
-    reps = _reduce(nums[:d], nums[d:] - offsets)[0]  # the base shift of each shift
-    if n % m or np.any(reps.reshape(-1, m, d) != reps[::m, None]):
-        raise UnsupportedPairError(
-            "spectrum shifts are not laid out as base + J/N; cannot attach dual coefficients"
-        )
-    return np.arange(n) % m
-
-
 def enumerate_spectrum(s: Spectrum, radius) -> list[Vec]:
     """All spectrum points with sup-norm at most radius, lexicographically sorted."""
     return _fractions(*_window_rows(s, radius)[:2])
+
+
+def _radius_text(radius) -> str:
+    """The radius as given, or to three digits if its text is long: 1e+400, not 401 digits."""
+    text, r = str(radius), Fraction(radius)
+    brief = Context(3).divide(r.numerator, r.denominator).normalize()
+    return text if len(text) <= 20 else format(brief, "g")
 
 
 def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int, np.ndarray]:
@@ -352,7 +339,8 @@ def _window_rows(s: Spectrum, radius) -> tuple[np.ndarray, int, np.ndarray]:
     start = v + -((v.astype(object) @ adj * rd + reach) // (det * rd)) @ g
     widths = [2 * b // (det * rd) + 1 for b in reach.tolist()]
     if len(v) * math.prod(widths) > _GRID_LIMIT:
-        raise ValueError("radius %s needs more than %d candidate points" % (radius, _GRID_LIMIT))
+        raise ValueError("radius %s needs more than %d candidate points"
+                         % (_radius_text(radius), _GRID_LIMIT))
     grid = np.stack(np.meshgrid(*(np.arange(w) for w in widths), indexing="ij"), -1)
     bound = max((_top(start) + d * max(widths) * _top(g)) * rd, rn * den)
     steps = int_array(grid.reshape(-1, d), bound) @ int_array(g, bound)

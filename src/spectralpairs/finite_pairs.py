@@ -14,7 +14,7 @@ stacked SVD: a single pair is a stack of one, a search chunk a stack of many.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
 
@@ -268,9 +268,6 @@ class HadamardReport:
     self_dual: bool
     unitary_defect: float
     coefficient_defect: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def hadamard_report(a: FiniteSet, j: FiniteSet) -> HadamardReport:

@@ -27,6 +27,9 @@ from .domains import BoxDomain
 from .errors import DimensionMismatchError
 from .finite_pairs import TOLERANCES, FiniteSet, _symbols, symbol_of_set
 
+_PATTERN_LIMIT = 2**22  # pattern points: about 200 bytes each as samples or Fractions, 800 MiB
+_KERNEL_LIMIT = 2**24  # reconstruction kernel entries: about 32 bytes each, 512 MiB
+
 
 @dataclass(frozen=True, eq=False)
 class BandlimitedSignal:
@@ -113,8 +116,11 @@ class SamplePattern:
             raise ValueError("pattern shifts must lie in [0, 1)")
         if len(set(shifts)) != len(shifts):
             raise ValueError("pattern shifts must be distinct")
-        if self.truncation < 0:
+        if operator.index(self.truncation) < 0:
             raise ValueError("truncation must be nonnegative")
+        if (2 * operator.index(self.truncation) + 1) * len(shifts) > _PATTERN_LIMIT:
+            raise ValueError("truncation %d gives over %d pattern points"
+                             % (self.truncation, _PATTERN_LIMIT))
         object.__setattr__(self, "shifts", shifts)
 
     @classmethod
@@ -134,7 +140,7 @@ def _pattern(p: SamplePattern) -> tuple[np.ndarray, int]:
     """The sorted points n + s of ``p`` as Python-int numerators n D + s D over
     the lcm D of the shift denominators."""
     shifts, den = common_denominator(p.shifts)
-    m, bound = p.truncation, (p.truncation + 1) * den
+    m, bound = p.truncation, (int(p.truncation) + 1) * den  # den may be past int64
     nums = np.add.outer(int_array(range(-m, m + 1), bound) * den, int_array(shifts, bound))
     return np.sort(nums.ravel()).astype(object), den
 
@@ -228,6 +234,8 @@ def reconstruct_spectrum(samples, p: SamplePattern, j: FiniteSet, eval_points) -
     if samples.shape != (len(nums),):
         raise ValueError("%d samples for %d pattern points" % (samples.size, len(nums)))
     xi = np.asarray(eval_points, dtype=float)
+    if xi.size * len(nums) > _KERNEL_LIMIT:
+        raise ValueError("%d x %d kernel entries, over %d" % (xi.size, len(nums), _KERNEL_LIMIT))
     lams = ratio(nums, den)  # float(lam), correctly rounded
     kernel = np.exp(-2j * np.pi * np.outer(xi, lams))
     return kernel @ samples / len(j)

@@ -258,6 +258,11 @@ def box_overlap(b1, b2) -> bool:
     return all(max(l1, l2) < min(h1, h2) for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]))
 
 
+def box_holds(box, x) -> bool:
+    """Whether the half-open box holds the point x."""
+    return all(lo <= c < hi for lo, hi, c in zip(box[0], box[1], x))
+
+
 def reference_first_box_pair(boxes):
     """The first index pair (i, k), i < k, of overlapping boxes, or None."""
     for i in range(len(boxes)):
@@ -409,6 +414,32 @@ def reference_biorthogonality(dom1, spec, a, j, radius):
             target = measure if mu == nu else 0.0
             defect = max(defect, abs(value - target))
     return defect
+
+
+def reference_reconstruction(spec, dual, coefficients, grid, radius):
+    """The truncated dual expansion one rational grid point at a time.  The terms follow
+    ``enumerate_spectrum`` of base + J/N, each tagged with its s by ``shift_tags``; a point
+    in Omega_1 + a_r, r the first translate whose boxes hold it by the box test, takes
+    sum u_mu c[r, s_mu] e^{2 pi i mu . x} / (#A |Omega_1|), and a point outside takes 0."""
+    a, j, base = dual.a, dual.j, dual.base_domain
+    coeff = reference_piece_coefficients(reference_evaluation_matrix(a, j))
+    combined = fraction_shift(spec, j)
+    points = sp.enumerate_spectrum(combined, radius)
+    tags = shift_tags(combined, j, points)
+    measure = float(base.measure * len(a))
+    out = []
+    for x in grid:
+        holds = [any(box_holds((vec_add(lo, p), vec_add(hi, p)), x) for lo, hi in base.boxes)
+                 for p in a.points]
+        if True not in holds:
+            out.append(0j)
+            continue
+        r = holds.index(True)
+        total = 0j
+        for mu, s, u in zip(points, tags, coefficients):
+            total += u * coeff[r, s] * cis(dot(mu, x))
+        out.append(total / measure)
+    return np.array(out)
 
 
 # --- sampling: closed-form samples, the per-k alias table, the transform ------------------

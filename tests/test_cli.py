@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -250,7 +252,13 @@ class TestInputHandling:
             (["biorth", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "100000"],
              "radius 100000 holds 400001 points"),
             (["bounds", "--N", "4", "--A", "0,2", "--J", "0,1", "--radii", "1e400"],
-             "candidate points"),
+             "radius 1e+400 needs more than 16777216 candidate points\n"),
+            # sampling sizes refused before anything is allocated
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1", "--M", "1000000000000000",
+              "--out", "{tmp}/s.csv"], "truncation 1000000000000000 gives over 4194304 pattern"),
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
+              "--grid", "1000000000000000", "--out", "{tmp}/s.csv"],
+             "--grid 1000000000000000 is over 1048576 points"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
@@ -259,7 +267,8 @@ class TestInputHandling:
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
              "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
              "search-group-past-int64", "gram-window-past-limit", "biorth-window-past-limit",
-             "bounds-grid-past-limit"],
+             "bounds-grid-past-limit", "sample-recon-pattern-past-limit",
+             "sample-recon-grid-past-limit"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
@@ -427,3 +436,14 @@ class TestFigures:
 
     def test_unknown_figure(self, capsys):
         assert run(["figure", "fig9"]) == 1
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every ``spectralpairs ...`` line of README's "Command line" block exits 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spectralpairs ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line

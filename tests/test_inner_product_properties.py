@@ -6,16 +6,23 @@ array kernel.  The references in ``reference`` are the per-entry scalar path it
 replaced: the closed form per axis and box, multiplied into
 ``complex(1.0)`` and summed box by box, one entry at a time.  The kernel
 must reproduce those floats bit for bit, not just to a tolerance.
+
+``reconstruct_function`` sums its expansion through one matrix product
+(BLAS), so it meets the per-point ``Fraction`` expansion of
+``reference_reconstruction`` within a bound set by the term count and the
+phases.  The library reads each term's J-index off ``shift_spectrum``'s
+layout, the reference finds it by exact lattice reduction (``shift_tags``).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (fraction_window_bounds, reference_biorthogonality, reference_bounds,
-                       reference_gram, reference_inner_product)
+                       reference_gram, reference_inner_product, reference_reconstruction)
 from strategies import RATIONALS, WIDE_RADII, bits, diagonal_spectra, slab_domains
 
 from spectralpairs import (
@@ -33,6 +40,7 @@ from spectralpairs import (
     estimate_frame_bounds,
     exp_inner_product,
     integer_lattice,
+    reconstruct_function,
     shift_spectrum,
     verify_biorthogonality,
 )
@@ -172,6 +180,53 @@ def test_biorthogonality_defect_equals_triple_loop(case):
     got = verify_biorthogonality(dom1, spec, a, j, radius)
     assert type(got) is float
     assert got == reference_biorthogonality(dom1, spec, a, j, radius)
+
+
+@st.composite
+def reconstruction_cases(draw):
+    """A base pair, an invertible (A, J) and a radius: a slab domain with a lattice of 1-3
+    shifts in 1-d or 2-d, or an iterated construction, whose base is an orthogonal
+    combination (its spectrum Z^d + J_1/N_1).  Then coefficients, and grid points k/16 in and
+    around the translates, so that each lies exactly where its float does."""
+    if draw(st.booleans()):
+        dom1, spec, a, j, radius = draw(biorthogonal_cases())
+    else:
+        base, a1, j1 = draw(orthogonal_combinations())
+        first = combine_orthogonal(base, a1, j1).pair
+        dom1, spec, d = first.domain, first.spectrum, first.domain.dimension
+        n = draw(st.integers(2, 6))
+        elements = st.tuples(*[st.integers(0, n - 1)] * d)
+        a, j = (FiniteSet(n, d, tuple(draw(st.lists(elements, min_size=2, max_size=2,
+                                                    unique=True)))) for _ in range(2))
+        radius = draw(st.sampled_from([Fraction(1, 2), 1]))
+        try:
+            DualBasis.build(dom1, a, j)
+            combined = shift_spectrum(spec, j, n)
+        except (NonInvertibleError, DuplicateSpectrumError):
+            assume(False)
+        assume(0 < len(enumerate_spectrum(combined, radius)) <= 40)
+    size = len(enumerate_spectrum(shift_spectrum(spec, j, j.modulus), radius))
+    part = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    coefficients = draw(st.lists(st.builds(complex, part, part), min_size=size, max_size=size))
+    corners = [c for lo, hi in dom1.boxes for c in (*lo, *hi)]
+    reach = st.integers(16 * math.floor(min(corners)) - 16,
+                        16 * (math.ceil(max(corners)) + a.modulus)).map(lambda k: Fraction(k, 16))
+    grid = draw(st.lists(st.tuples(*[reach] * dom1.dimension), min_size=1, max_size=8))
+    return spec, DualBasis.build(dom1, a, j), coefficients, grid, radius
+
+
+@settings(max_examples=100, deadline=None)
+@given(reconstruction_cases())
+def test_reconstruction_agrees_with_per_point_expansion(case):
+    spec, dual, coefficients, grid, radius = case
+    floats = np.array([[float(c) for c in x] for x in grid])
+    got = reconstruct_function(spec, dual, coefficients, floats, radius)
+    want = reference_reconstruction(spec, dual, coefficients, grid, radius)
+    # each term's phase 2 pi mu . x is off by a few ulps of its size, and the sum adds n ulps
+    phase = 2 * np.pi * dual.a.dimension * float(radius) * np.abs(floats).max()
+    terms = np.abs(coefficients).sum() * np.abs(dual.piece_coefficients).max()
+    bound = 4 * np.finfo(float).eps * (len(coefficients) + phase + 4) * terms
+    assert np.abs(got - want).max() <= bound / float(dual.base_domain.measure * len(dual.a))
 
 
 def test_numerators_past_2_62_take_python_ints():

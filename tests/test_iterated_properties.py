@@ -3,8 +3,9 @@
 The first combination is an orthogonal pair on [0,1) with Z, the second
 adds a finite pair (A, J) that ``combine_riesz`` accepts.  The dual of
 e_p on the twice-combined pair needs the s with p - j_s/N in the
-once-combined spectrum Z + J_1/N_1; ``_shift_tags`` must find it for
-every enumerated point.  The reference is an exact membership test in
+once-combined spectrum Z + J_1/N_1.  The index of a point's stored shift
+mod #J_2 must be that s for every enumerated point, as ``shift_spectrum``
+lays the shifts out.  The reference is an exact membership test in
 rational arithmetic on the first combination's data.
 """
 
@@ -26,7 +27,7 @@ from spectralpairs import (
     enumerate_spectrum,
     integer_lattice,
 )
-from spectralpairs.domains import _shift_tags, _window_rows
+from spectralpairs.domains import _window_rows
 
 UNIT = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), integer_lattice(1))
 
@@ -65,7 +66,7 @@ def twice_combined(draw):
 def test_combining_twice_tags_every_point(data, radius):
     j1, j2, spectrum = data
     points = enumerate_spectrum(spectrum, radius)
-    tags = _shift_tags(spectrum, j2)[_window_rows(spectrum, radius)[2]]
+    tags = _window_rows(spectrum, radius)[2] % len(j2)
     assert len(tags) == len(points)
     for (x,), s in zip(points, tags):
         assert reference_in_first_spectrum(x - Fraction(j2.points[s][0], j2.modulus), j1)

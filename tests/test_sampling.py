@@ -89,6 +89,17 @@ class TestSamplePattern:
         with pytest.raises(ValueError):
             SamplePattern((Fraction(5, 4),), 3)
 
+    def test_truncation_is_an_integer(self):
+        # a float truncation used to build, then fail in points() and sample_signal
+        with pytest.raises(TypeError):
+            SamplePattern((Fraction(0),), 1.5)
+        shifts = (Fraction(0), Fraction(1, 2**70))  # numerators past int64
+        pattern = SamplePattern(shifts, np.int64(2))
+        assert type(pattern.truncation) is np.int64
+        assert pattern.points() == SamplePattern(shifts, 2).points() and len(pattern.points()) == 10
+        with pytest.raises(ValueError, match="truncation 2097152 gives over 4194304 pattern"):
+            SamplePattern((Fraction(0),), 2**21)  # 2**22 + 1 points, refused before any is made
+
 
 class TestAliasCoefficients:
     def test_two_interval_values(self):
@@ -189,6 +200,12 @@ class TestReconstruction:
             sample_signal(signal, pattern), pattern, j, np.array([0.1, 2.3])
         )
         assert np.abs(est).max() == 0
+
+    def test_kernel_past_limit_refused_before_allocation(self):
+        j = FiniteSet.from_ints(2, [0, 1])
+        pattern = SamplePattern.from_finite_set(j, 2**10)  # 4,098 points
+        with pytest.raises(ValueError, match="4097 x 4098 kernel entries, over 16777216"):
+            reconstruct_spectrum(np.zeros(4098), pattern, j, np.zeros(4097))
 
     def test_single_sample_constant(self):
         j = FiniteSet.from_ints(1, [0])
