@@ -273,6 +273,8 @@ def _cmd_sample_recon(ns) -> int:
     a, j = _finite_pair(ns)
     if a.dimension != 1:
         raise InputError("sample-recon is one-dimensional")
+    if ns.grid < 1:
+        raise InputError("--grid %d is below 1 point" % ns.grid)
     if ns.grid > _GRID_LIMIT:
         raise InputError("--grid %d is over %d points" % (ns.grid, _GRID_LIMIT))
     # [0,1) + A sampled on Z + J/N: the setting that verify_alias_cancellation certifies

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,8 @@ class EvaluationMatrix:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class FiniteClassification:
+class FiniteClassification(NamedTuple):
+    """An immutable, hashable tuple; equals the plain tuple of its fields, unpacks, indexes."""
     kind: PairKind
     lower: float
     upper: float

@@ -20,6 +20,7 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class SearchQuery:
                 raise ValueError("%s must be a positive integer" % name)
         if self.modulus**self.dimension >= 1 << 63:  # sampled elements are drawn as int64
             raise ValueError("N^d = %d^%d is not below 2^63" % (self.modulus, self.dimension))
-        for name in ("max_results", "samples", "time_budget"):
+        for name in ("max_results", "samples", "time_budget", "seed"):
             if not (getattr(self, name) or 0) >= 0:  # NaN too
                 raise ValueError("%s must be non-negative" % name)
         if self.cardinality < 1 or self.cardinality > self.modulus**self.dimension:
@@ -66,8 +67,8 @@ class SearchQuery:
             raise ValueError("search targets riesz-basis or orthogonal-basis kinds")
 
 
-@dataclass(frozen=True)
-class SearchMatch:
+class SearchMatch(NamedTuple):
+    """An immutable, hashable tuple; equals the plain tuple of its fields, unpacks, indexes."""
     a: FiniteSet
     j: FiniteSet
     classification: FiniteClassification
@@ -191,14 +192,17 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
         position[index] = np.arange(len(index))
         owner = position[inverse]
         hits = np.flatnonzero(owner >= 0)[: limit - len(matches)]
-        classes = list(map(FiniteClassification, kinds[ranks], *(x.tolist() for x in bounds)))
+        # records built as NamedTuple._make builds them, by tuple.__new__, with no Python frame
+        fields = zip(kinds[ranks], *(x.tolist() for x in bounds))
+        classes = list(map(tuple.__new__, itertools.repeat(FiniteClassification), fields))
         a_rows, j_rows = ia[hits].tolist(), ij[hits].tolist()
         if not exhaustive:
             finite.clear()  # each sampled chunk draws new subsets
         for i in {*a_rows, *j_rows}.difference(finite):
             finite[i] = FiniteSet(n, d, points[i].tolist())
         owners = map(classes.__getitem__, owner[hits].tolist())
-        matches.extend(map(SearchMatch, map(finite.get, a_rows), map(finite.get, j_rows), owners))
+        fields = zip(map(finite.get, a_rows), map(finite.get, j_rows), owners)
+        matches.extend(map(tuple.__new__, itertools.repeat(SearchMatch), fields))
         if len(matches) >= limit:
             examined += int(hits[-1]) + 1
             partial = examined < total

@@ -229,6 +229,9 @@ class TestInputHandling:
              "time_budget must be non-negative"),
             (["search", "--N", "4", "--k", "2", "--budget", "nan"],
              "time_budget must be non-negative"),
+            # a negative seed, whether or not the query samples
+            (["search", "--N", "17", "--k", "2", "--seed", "-1"], "seed must be non-negative"),
+            (["search", "--N", "4", "--k", "2", "--seed", "-1"], "seed must be non-negative"),
             # one tolerance policy: no flag sets a threshold
             (["classify", "--N", "4", "--A", "0,2", "--J", "0,1", "--tol", "1e-6"],
              "unrecognized arguments: --tol 1e-6"),
@@ -259,16 +262,22 @@ class TestInputHandling:
             (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
               "--grid", "1000000000000000", "--out", "{tmp}/s.csv"],
              "--grid 1000000000000000 is over 1048576 points"),
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
+              "--grid", "0", "--out", "{tmp}/s.csv"], "--grid 0 is below 1 point"),
+            (["sample-recon", "--N", "4", "--A", "0,2", "--J", "0,1",
+              "--grid", "-5", "--out", "{tmp}/s.csv"], "--grid -5 is below 1 point"),
         ],
         ids=["empty-points", "radius-over-zero", "radii-over-zero", "out-dir-missing",
              "csv-dir-missing", "report-dir-missing", "figure-out-is-file", "base-is-dir",
              "sample-recon-base", "search-dimension-zero", "search-negative-limit",
-             "search-negative-budget", "search-nan-budget", "classify-tol", "construct-tol",
+             "search-negative-budget", "search-nan-budget", "search-negative-seed-sampled",
+             "search-negative-seed-exhaustive", "classify-tol", "construct-tol",
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
              "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
              "search-group-past-int64", "gram-window-past-limit", "biorth-window-past-limit",
              "bounds-grid-past-limit", "sample-recon-pattern-past-limit",
-             "sample-recon-grid-past-limit"],
+             "sample-recon-grid-past-limit", "sample-recon-grid-zero",
+             "sample-recon-grid-negative"],
     )
     def test_bad_input_is_one_line(self, tmp_path, capsys, argv, named):
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))

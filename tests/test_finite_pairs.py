@@ -174,6 +174,16 @@ class TestClassification:
         with pytest.raises(InsufficientSpectrumError):
             classify_finite_pair(FiniteSet.from_ints(4, [0, 1]), FiniteSet.from_ints(4, [0]))
 
+    def test_classification_is_an_immutable_hashable_record(self, two_interval_sets):
+        c, twin = (classify_finite_pair(*two_interval_sets) for _ in range(2))
+        with pytest.raises(AttributeError):
+            c.kind = PairKind.NONE
+        assert c == twin and hash(c) == hash(twin)
+        assert repr(c) == (
+            "FiniteClassification(kind=<PairKind.ORTHOGONAL_BASIS: 'orthogonal-basis'>, "
+            "lower=1.9999999999999991, upper=2.000000000000001, "
+            "condition_number=1.0000000000000004)")
+
     def test_singular_values_invariant_under_reordering(self, golden_sets):
         a, j = golden_sets
         c1 = classify_finite_pair(a, j)

@@ -203,6 +203,28 @@ class TestEnumeratePairs:
         with pytest.raises(ValueError, match=r"N\^d = 2\^63 is not below 2\^63"):
             SearchQuery(2, 63, 2, samples=4, seed=1)
 
+    def test_negative_seed_is_rejected(self):
+        """Checked at construction, on exhaustive queries too, which never read the seed."""
+        for n in (17, 4):
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                SearchQuery(n, 1, 2, seed=-1)
+        assert enumerate_pairs(SearchQuery(17, 1, 2, seed=0, samples=4)).seed == 0
+
+    def test_match_is_an_immutable_hashable_record(self):
+        matches, twins = (enumerate_pairs(SearchQuery(4, 1, 2)).matches for _ in range(2))
+        with pytest.raises(AttributeError):
+            matches[0].a = matches[0].j
+        assert matches == twins and list(map(hash, matches)) == list(map(hash, twins))
+
+    def test_records_are_tuples_of_their_fields(self):
+        """A match and its classification unpack, index and compare as plain tuples."""
+        match = enumerate_pairs(SearchQuery(4, 1, 2)).matches[0]
+        a, j, classification = match
+        kind, lower, upper, condition = classification
+        assert match == (a, j, classification) and match[2] is classification
+        assert classification == (kind, lower, upper, condition)
+        assert (kind, condition) == (classification.kind, classification.condition_number)
+
     def test_negative_samples_are_rejected(self):
         with pytest.raises(ValueError, match="samples must be non-negative"):
             SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=-5)
