@@ -160,12 +160,19 @@ def _base_pair(path: str | None, dimension: int) -> ContinuousPair:
     return ContinuousPair.orthogonal(unit_box(dimension), integer_lattice(dimension))
 
 
+def _finite_json(s: dict, name: str) -> FiniteSet:
+    cells = [("N", s["N"]), ("d", s["d"])] + [
+        ("points[%d][%d]" % (i, k), x) for i, p in enumerate(s["points"]) for k, x in enumerate(p)]
+    for path, value in cells:
+        if not hasattr(value, "__index__"):  # as operator.index tests, naming the value's path
+            raise TypeError("%s.%s: '%s' object cannot be interpreted as an integer"
+                            % (name, path, type(value).__name__))
+    return FiniteSet.from_json_dict(s)
+
+
 def _finite_pair(ns) -> tuple[FiniteSet, FiniteSet]:
     if ns.finite:
-        return _parse_json(
-            ns.finite,
-            lambda data: (FiniteSet.from_json_dict(data["A"]), FiniteSet.from_json_dict(data["J"])),
-        )
+        return _parse_json(ns.finite, lambda data: tuple(_finite_json(data[k], k) for k in "AJ"))
     return _finite_set(ns.N, ns.A, "A"), _finite_set(ns.N, ns.J, "J")
 
 

@@ -49,16 +49,16 @@ _KINDS = tuple(PairKind)  # in rank order: none, frame, riesz-basis, orthogonal-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The float thresholds of every decision; ``TOLERANCES`` is the one instance read.
-
-    Entries of the evaluation matrix are exact roots of unity, so the
-    unitarity defect is pure floating evaluation; 1e-10 is generous.
-    """
-
-    unitary: float = 1e-10  # the classifier's unitary defect, symbol zeros
-    condition_cap: float = 1e12  # a square matrix of smaller condition number is a Riesz basis
-    frame_lower: float = 1e-10  # sigma_min^2 above it is a frame
+    """The one float policy, read through ``TOLERANCES``: rounding bounds, no set thresholds."""
+    # e: |cis(u, N) - e^{2 pi i u/N}| <= e eps, eps = 2^-52: the angle 2.0 * math.pi * (u/N) is
+    # within 3 pi eps of 2 pi u/N (three roundings), and cos, sin add an ulp each: 10.9 eps in all
+    entry_error: float = 12.0
     eigenvalue_floor: float = 1e-12  # Gram eigenvalues below it report as 0
+
+    def gram_bound(self, rows: int) -> float:
+        """delta_gram, the error of a float sum of ``rows`` unit products (F^H F) or entries
+        (a symbol): per term, in eps, 2e for entries, 2 for a product, rows for the sum."""
+        return rows * (2 * self.entry_error + rows + 2) * np.finfo(float).eps
 
 
 TOLERANCES = Tolerances()
@@ -179,16 +179,18 @@ def _unitary_defect(f: np.ndarray) -> np.ndarray:
 
 
 def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
-    """Kind ranks (indices into _KINDS), lower and upper frame constants, condition numbers
-    and stack indices of the matrices of kind at least ``least`` in a stack f of shape
-    (m, #J, #A), #J >= #A >= 1.  Orthogonality rests on the unitary defect alone, so for an
-    orthogonal ``least`` only the square matrices that the defect passes get an SVD."""
+    """Kind ranks (indices into _KINDS), lower and upper frame constants, condition numbers and
+    stack indices of the matrices of kind at least ``least`` in a stack f of shape (m, #J, #A),
+    #J >= #A >= 1.  A float counts as zero inside its rounding bound: sigma_min past delta_rank
+    is full rank (a frame, or a Riesz basis when square), and a unitary defect within delta_gram
+    alone decides orthogonality, so for an orthogonal ``least`` only what it passes gets an SVD."""
     if not f.shape[2]:
         raise ValueError("A is empty: a pair needs at least one point in A")
-    square, index = f.shape[1] == f.shape[2], np.arange(len(f))
+    (rows, cols), index = f.shape[1:], np.arange(len(f))
+    square, gram_bound, eps = rows == cols, TOLERANCES.gram_bound(rows), np.finfo(float).eps
     screened = square and least is PairKind.ORTHOGONAL_BASIS
     if screened:
-        index = np.flatnonzero(_unitary_defect(f) < TOLERANCES.unitary)
+        index = np.flatnonzero(_unitary_defect(f) <= gram_bound)
         f = f[index]
     sigma = np.linalg.svd(f, compute_uv=False)
     largest, smallest = sigma[:, 0], sigma[:, -1]
@@ -197,12 +199,13 @@ def _classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
     orthogonal = np.full(len(f), screened)  # a screened stack holds only what passed
     if square and not screened:
-        # a defect below u gives |F^H F - n I|_2 < n u, n = #A, so upper - lower < 2 n u:
-        # past 4 n u it cannot pass whatever the rounding, and skipping it only saves work
-        near = np.flatnonzero(upper - lower <= 4 * f.shape[2] * TOLERANCES.unitary)
-        orthogonal[near] = _unitary_defect(f[near]) < TOLERANCES.unitary
-    riesz = square and condition < TOLERANCES.condition_cap
-    ranks = np.select([orthogonal, riesz, lower > TOLERANCES.frame_lower], [3, 2, 1], 0)
+        # a defect within d = delta_gram keeps each sigma^2 within n d + n^2 (n + 2) eps of n = #A
+        # and the SVD moves it by 20 n^2 eps at most, so past upper - lower = 4 n d it cannot pass
+        near = np.flatnonzero(upper - lower <= 4 * cols * gram_bound)
+        orthogonal[near] = _unitary_defect(f[near]) <= gram_bound
+    # delta_rank: Weyl, |F~ - F|_2 <= sqrt(#J #A) e eps, plus the SVD's error 10 #J eps sigma_max
+    full = smallest > (np.sqrt(rows * cols) * TOLERANCES.entry_error + 10 * rows * largest) * eps
+    ranks = np.select([orthogonal, full & square, full], [3, 2, 1], 0)
     keep = ranks >= least.rank
     return ranks[keep], lower[keep], upper[keep], condition[keep], index[keep]
 

@@ -155,8 +155,8 @@ class AliasReport:
     """Aliasing-cancellation certificate for (A, J) on the range of k tested.
 
     dc: the k = 0 coefficient (must equal #J exactly).
-    cancelled: k in (A-A) \\ {0} where the symbol vanishes numerically.
-    symbol_violations: such k where it does not.
+    cancelled: k in (A-A) \\ {0} where |symbol| is within its rounding bound delta_gram.
+    symbol_violations: such k where it is past the bound, so proved nonzero.
     disjoint: every k != 0 outside A-A, where Omega and Omega+k are disjoint.
     overlap_violations: always empty, as [a, a+1) meets [a' + k, a' + k + 1) only at k = a - a'.
     """
@@ -210,7 +210,7 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
     values = _symbols(j, ks[:, None] % j.modulus)  # the symbol chi_hat_J at each k
     differences = np.isin(ks, np.subtract.outer(reps, reps))  # k in A - A
     size = np.hypot(values.real, values.imag)  # abs(value), as Python takes it
-    symbol, small = differences & (ks != 0), size < TOLERANCES.unitary
+    symbol, small = differences & (ks != 0), size <= TOLERANCES.gram_bound(len(j))
     return AliasReport(
         dc_value=symbol_of_set(j, 0).real,
         dc_expected=len(j),

@@ -92,6 +92,16 @@ def reference_symbol(j, k):
     return total
 
 
+def reference_rounding_bounds(rows, cols, largest):
+    """delta_rank and delta_gram of a rows x cols evaluation matrix with largest singular
+    value ``largest``, from the entry error e (in eps): sigma_min(F) >= sigma~_min - delta_rank
+    by Weyl's inequality and the SVD's backward error, and an entry of F^H F is within
+    delta_gram of the exact one."""
+    eps, e = np.finfo(float).eps, TOLERANCES.entry_error
+    rank = (math.sqrt(rows * cols) * e + 10 * max(rows, cols) * largest) * eps
+    return rank, rows * (2 * e + rows + 2) * eps
+
+
 def classify(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     """One pair: its own evaluation matrix, SVD and unitarity defect."""
     f = sp.build_evaluation_matrix(a, j).entries
@@ -100,13 +110,14 @@ def classify(a: FiniteSet, j: FiniteSet) -> FiniteClassification:
     upper = float(sigma[0] ** 2)
     condition = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
     defect = float(np.abs(f.conj().T @ f - f.shape[0] * np.eye(f.shape[1])).max())
+    rank_bound, gram_bound = reference_rounding_bounds(len(j), len(a), sigma[0])
 
     square = len(a) == len(j)
-    if square and defect < TOLERANCES.unitary:
+    if square and defect <= gram_bound:
         kind = PairKind.ORTHOGONAL_BASIS
-    elif square and condition < TOLERANCES.condition_cap:
+    elif square and sigma[-1] > rank_bound:
         kind = PairKind.RIESZ_BASIS
-    elif lower > TOLERANCES.frame_lower:
+    elif sigma[-1] > rank_bound:
         kind = PairKind.FRAME
     else:
         kind = PairKind.NONE
@@ -123,9 +134,10 @@ def classify_stacked(f: np.ndarray, least: PairKind = PairKind.NONE):
     lower, upper = np.float_power(smallest, 2), np.float_power(largest, 2)
     gram = np.swapaxes(f.conj(), 1, 2) @ f
     defect = np.abs(gram - f.shape[1] * np.eye(f.shape[2])).max(axis=(1, 2))
-    orthogonal = square & (defect < TOLERANCES.unitary)
-    riesz = square & (condition < TOLERANCES.condition_cap)
-    ranks = np.select([orthogonal, riesz, lower > TOLERANCES.frame_lower], [3, 2, 1], 0)
+    rank_bound, gram_bound = reference_rounding_bounds(f.shape[1], f.shape[2], largest)
+    orthogonal = square & (defect <= gram_bound)
+    full = smallest > rank_bound
+    ranks = np.select([orthogonal, square & full, full], [3, 2, 1], 0)
     keep = np.flatnonzero(ranks >= least.rank)
     return ranks[keep], lower[keep], upper[keep], condition[keep], keep
 

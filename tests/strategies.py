@@ -8,7 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from reference import box_overlap
 
-from spectralpairs import BoxDomain, DuplicateSpectrumError, FiniteSet, Spectrum
+from spectralpairs import BoxDomain, DuplicateSpectrumError, FiniteSet, PairKind, Spectrum
 
 BIG = 2**63 + 1
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
@@ -132,3 +132,19 @@ def pinned_past_2_62():
     sets = [FiniteSet(4, 2, ((0, 0), (1, 1), (2, 0))), FiniteSet(8, 2, ((0, 0), (1, 1))),
             FiniteSet(4, 2, ((0, 0), (1, 2), (3, 1))), FiniteSet(3, 2, ((0, 0), (1, 0)))]
     return dom, spec, sets, (Fraction(1, BIG + 2), Fraction(-1, 3))
+
+
+def _pair(n, a, j, kind):
+    return FiniteSet.from_ints(n, a), FiniteSet.from_ints(n, j), kind
+
+
+# pairs in Z_p, p prime, whose kinds float thresholds once got wrong, with their exact kinds:
+# 1 + omega^u != 0, so no two-point pair is orthogonal, every square pair is invertible
+# (Chebotarev's theorem) and a row added to one keeps its rank
+P40, P42 = 2**40 + 15, 2**42 + 15
+LARGE_PRIME_PAIRS = {
+    "n2-40-far-rows": _pair(P40, [0, 1], [0, P40 // 2], PairKind.RIESZ_BASIS),
+    "n1000003-square": _pair(1_000_003, [0, 1], [0, 1], PairKind.RIESZ_BASIS),
+    "n1000003-frame": _pair(1_000_003, [0, 1], [0, 1, 2], PairKind.FRAME),
+    "n2-42-square": _pair(P42, [0, 1], [0, 1], PairKind.RIESZ_BASIS),
+}

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -71,6 +72,15 @@ class TestClassify:
                              for row in build_evaluation_matrix(a, j).entries]}
         assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
         assert b"-0.0" in out.read_bytes()
+
+    def test_ill_conditioned_riesz_basis_at_a_large_prime(self, tmp_path):
+        # N = 2^42 + 15 is prime, so A = J = {0, 1} is a Riesz basis; its condition number is
+        # 2.8e12, and sigma_min = 7.1e-13 clears its rounding bound 1.4e-14
+        out = tmp_path / "r.json"
+        assert run(["classify", "--N", "4398046511119", "--A", "0,1", "--J", "0,1",
+                    "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["kind"] == "riesz-basis" and math.isfinite(report["condition"])
 
     def test_duplicate_points_are_input_error(self, capsys):
         assert run(["classify", "--N", "3", "--A", "0,1", "--J", "0,0"]) == 1
@@ -248,6 +258,13 @@ class TestInputHandling:
             (["biorth", "--finite", "{tmp}/empty.json"], "A is empty"),
             (["sample-recon", "--finite", "{tmp}/empty_j.json", "--out", "{tmp}/s.csv"],
              "J is empty"),
+            # a value of a finite set that is not an integer, named by its path in the file
+            (["classify", "--finite", "{tmp}/string_point.json"],
+             "string_point.json: A.points[0][0]: 'str' object cannot be interpreted as an integer"),
+            (["dual", "--finite", "{tmp}/float_coordinate.json"],
+             "J.points[1][1]: 'float' object cannot be interpreted as an integer"),
+            (["construct", "--finite", "{tmp}/null_dimension.json"],
+             "A.d: 'NoneType' object cannot be interpreted as an integer"),
             (["search", "--N", "2", "--d", "63", "--k", "2"], "N^d = 2^63"),
             # windows past the analytics tables' limit, and a grid past the enumeration's
             (["gram", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "1000000"],
@@ -274,6 +291,7 @@ class TestInputHandling:
              "search-negative-seed-exhaustive", "classify-tol", "construct-tol",
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
              "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
+             "classify-string-point", "dual-float-coordinate", "construct-null-dimension",
              "search-group-past-int64", "gram-window-past-limit", "biorth-window-past-limit",
              "bounds-grid-past-limit", "sample-recon-pattern-past-limit",
              "sample-recon-grid-past-limit", "sample-recon-grid-zero",
@@ -283,7 +301,12 @@ class TestInputHandling:
         base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
         (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
         empty, one = {"N": 4, "d": 1, "points": []}, {"N": 4, "d": 1, "points": [[0]]}
-        for name, a, j in ("empty_a", empty, one), ("empty_j", one, empty), ("empty", empty, empty):
+        plane = {"N": 4, "d": 2, "points": [[0, 0], [1, 0.5]]}
+        for name, a, j in [("empty_a", empty, one), ("empty_j", one, empty),
+                           ("empty", empty, empty),
+                           ("string_point", {**one, "points": [["0"]]}, one),
+                           ("float_coordinate", {**plane, "points": [[0, 0], [2, 0]]}, plane),
+                           ("null_dimension", {**one, "d": None}, one)]:
             (tmp_path / ("%s.json" % name)).write_text(json.dumps({"A": a, "J": j}))
         assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference import reference_symbol
+from strategies import LARGE_PRIME_PAIRS, P42
 
 from spectralpairs import (
     BoxDomain,
@@ -240,17 +241,40 @@ class TestClassification:
                 == classify_finite_pair(a, j).kind
             )
 
-    @pytest.mark.parametrize("largest", [1e12, 1e12 / 2, 4.0])
-    def test_inverse_exists_exactly_for_riesz_ranks(self, largest):
-        # condition number largest / 1: at the cap the classification says frame, so no inverse
-        f = np.diag([largest, 1.0]).astype(complex)
-        riesz = _classify_stacked(f[None])[0][0] >= PairKind.RIESZ_BASIS.rank
-        assert riesz == (largest < TOLERANCES.condition_cap)
+    @pytest.mark.parametrize(
+        "n,points,riesz",
+        [(P42, [0, 1], True), (4, [0, 2], False), (4, [0, 1], True)],
+        ids=["riesz-at-a-large-prime", "singular-in-z4", "riesz-in-z4"],
+    )
+    def test_inverse_exists_exactly_for_riesz_ranks(self, n, points, riesz):
+        # A = J: at 2^42 + 15 the condition number is 2.8e12, yet sigma_min clears its bound
+        s = FiniteSet.from_ints(n, points)
+        f = build_evaluation_matrix(s, s).entries
+        assert (_classify_stacked(f[None])[0][0] >= PairKind.RIESZ_BASIS.rank) == riesz
         if riesz:
             assert np.array_equal(_checked_inverse(f)[0], np.linalg.inv(f))
         else:
             with pytest.raises(NonInvertibleError):
                 _checked_inverse(f)
+
+    @pytest.mark.parametrize("a,j,kind", LARGE_PRIME_PAIRS.values(), ids=list(LARGE_PRIME_PAIRS))
+    def test_large_prime_pairs_get_their_exact_kinds(self, a, j, kind):
+        assert classify_finite_pair(a, j).kind is kind
+        assert not verify_alias_cancellation(a, j, (-1, 1)).passed
+        if len(a) == len(j):
+            report = hadamard_report(a, j)
+            assert not (report.is_hadamard or report.self_dual)
+            assert report.coefficient_defect < np.inf  # inverted, as a Riesz basis
+            assert not DualBasis.build(BoxDomain.interval(0, 1), a, j).is_self_dual
+
+    def test_genuine_zeros_stay_inside_their_bounds(self):
+        # exact zeros of Z_4, whose phases are exact: the off-diagonal of F^H F for A = {0, 2},
+        # J = {0, 1}, and sigma_min for A = J = {0, 2}; inside its bound each counts as zero
+        a, j = FiniteSet.from_ints(4, [0, 2]), FiniteSet.from_ints(4, [0, 1])
+        assert hadamard_report(a, j).unitary_defect <= TOLERANCES.gram_bound(2)
+        assert classify_finite_pair(a, j).kind is PairKind.ORTHOGONAL_BASIS
+        singular = classify_finite_pair(a, a)
+        assert (singular.lower, singular.kind) == (0.0, PairKind.NONE)
 
 
 class TestMutualOrthogonality:
@@ -314,12 +338,10 @@ class TestEmptySets:
 
 
 # N = 2^40 + 15 is prime, so 1 + omega^u != 0 and no 2-element pair of Z_N is orthogonal;
-# with J = {0, (N - 1)/2} the unitary defect is 2 sin(pi / 2N) ~ 2.9e-12, below the threshold
-LARGE_N = 2**40 + 15
-LARGE_PAIR = FiniteSet.from_ints(LARGE_N, [0, 1]), FiniteSet.from_ints(LARGE_N, [0, LARGE_N // 2])
+# with J = {0, (N - 1)/2} the unitary defect is 2 sin(pi / 2N) ~ 2.9e-12, past its bound
+LARGE_PAIR = LARGE_PRIME_PAIRS["n2-40-far-rows"][:2]
 
 
-@pytest.mark.xfail(strict=True, reason="orthogonality is a float threshold, not an exact test")
 @pytest.mark.parametrize(
     "orthogonal",
     [

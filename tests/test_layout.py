@@ -4,11 +4,15 @@ another and none keeps a reference of its own.  A function named ``reference_*``
 ``fraction_*`` is a reference by name.  And the layout of the package: every name a
 module of ``spectralpairs`` imports is used there (``__init__.py`` re-exports, exempt),
 and lattice arithmetic stays in ``domains``, the one module that decides where a point
-lies modulo a lattice.
+lies modulo a lattice.  And README's ``Tolerances`` table lists exactly the record's fields.
 """
 
 import ast
+import dataclasses
+import itertools
 from pathlib import Path
+
+from spectralpairs import Tolerances
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spectralpairs"
@@ -62,3 +66,12 @@ def test_only_domains_imports_lattice_arithmetic():
                      if isinstance(node, ast.ImportFrom) for alias in node.names}
             found[path.name] = sorted(names & lattice)
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_readme_tolerances_table_lists_exactly_the_fields():
+    readme = (TESTS.parent / "README.md").read_text()
+    after = readme[readme.index("of the `Tolerances` record"):].splitlines()
+    start = next(i for i, line in enumerate(after) if line.startswith("|"))
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), after[start:]))
+    rows = [line.split("|")[1].strip().strip("`") for line in table[2:]]  # past the header
+    assert rows == [field.name for field in dataclasses.fields(Tolerances)]
