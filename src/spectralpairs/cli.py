@@ -101,10 +101,10 @@ def _finite_set(modulus: int | None, points, flag: str) -> FiniteSet:
     return FiniteSet(modulus, len(points[0]), points)
 
 
-def _parse_json(path: str, parse):
-    """parse(data) for the JSON in path; malformed JSON, a missing key or a value the
-    parser rejects (wrong shape or type, zero denominator, failed check) is malformed
-    input naming the path, not a crash."""
+def _parse_json(path: str, parse, readers: dict):
+    """parse(data) for the JSON in path.  Malformed JSON, a missing key, a scalar its reader in
+    ``readers`` (nested as the file is) rejects, named by its JSON path, or a value the parser
+    rejects (wrong shape or type, zero denominator, failed check) is input error, not a crash."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -115,6 +115,19 @@ def _parse_json(path: str, parse):
             )
         except UnicodeDecodeError as exc:
             raise InputError("malformed JSON in %s: %s" % (path, exc)) from None
+    stack = [("", data, readers)]  # (JSON path, value, what reads it), without recursion
+    while stack:
+        at, x, read = stack.pop()
+        if isinstance(x, list):
+            stack += reversed([("%s[%d]" % (at, i), v, read) for i, v in enumerate(x)])
+        elif isinstance(x, dict) and isinstance(read, dict):
+            stack += reversed([("%s.%s" % (at, k), v, read[k]) for k, v in x.items() if k in read])
+        elif callable(read):
+            try:
+                read(x)
+            except (ArithmeticError, TypeError, ValueError) as exc:  # Fraction(inf): Overflow
+                raise InputError("malformed input in %s: %s: %s"
+                                 % (path, at.lstrip("."), exc)) from None
     try:
         return parse(data)
     except KeyError as exc:
@@ -156,23 +169,14 @@ def _writable(path: str) -> str:
 def _base_pair(path: str | None, dimension: int) -> ContinuousPair:
     """The base pair in the JSON file path; by default the unit cube [0,1)^d with Z^d."""
     if path:
-        return _parse_json(path, ContinuousPair.from_json_dict)
+        return _parse_json(path, ContinuousPair.from_json_dict, ContinuousPair.JSON_READERS)
     return ContinuousPair.orthogonal(unit_box(dimension), integer_lattice(dimension))
-
-
-def _finite_json(s: dict, name: str) -> FiniteSet:
-    cells = [("N", s["N"]), ("d", s["d"])] + [
-        ("points[%d][%d]" % (i, k), x) for i, p in enumerate(s["points"]) for k, x in enumerate(p)]
-    for path, value in cells:
-        if not hasattr(value, "__index__"):  # as operator.index tests, naming the value's path
-            raise TypeError("%s.%s: '%s' object cannot be interpreted as an integer"
-                            % (name, path, type(value).__name__))
-    return FiniteSet.from_json_dict(s)
 
 
 def _finite_pair(ns) -> tuple[FiniteSet, FiniteSet]:
     if ns.finite:
-        return _parse_json(ns.finite, lambda data: tuple(_finite_json(data[k], k) for k in "AJ"))
+        return _parse_json(ns.finite, lambda data: tuple(FiniteSet.from_json_dict(data[k])
+                           for k in "AJ"), dict.fromkeys("AJ", FiniteSet.JSON_READERS))
     return _finite_set(ns.N, ns.A, "A"), _finite_set(ns.N, ns.J, "J")
 
 
@@ -183,7 +187,7 @@ def _combined_pair(ns) -> ContinuousPair:
     still be examined numerically; the kind label is left unclaimed.
     """
     if ns.pair:
-        return _parse_json(ns.pair, ContinuousPair.from_json_dict)
+        return _parse_json(ns.pair, ContinuousPair.from_json_dict, ContinuousPair.JSON_READERS)
     a, j = _finite_pair(ns)
     base = _base_pair(ns.base, a.dimension)
     domain = minkowski_translate(base.domain, a)

@@ -55,6 +55,8 @@ class ContinuousPair:
     kind: PairKind
     lower: float
     upper: float
+    JSON_READERS = {"domain": BoxDomain.JSON_READERS, "spectrum": Spectrum.JSON_READERS,
+                    "kind": PairKind, "lower": float, "upper": float}
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PairKind(self.kind))  # a kind's string value too

@@ -81,6 +81,7 @@ class BoxDomain:
 
     dimension: int
     boxes: tuple[Box, ...]
+    JSON_READERS = {"d": operator.index, "boxes": dict.fromkeys(("lo", "hi"), Fraction)}
 
     def __post_init__(self):
         if operator.index(self.dimension) < 1:
@@ -170,6 +171,7 @@ class Spectrum:
     dimension: int
     basis: tuple[Vec, ...]  # generator vectors (columns of B)
     shifts: tuple[Vec, ...] = field(default_factory=tuple)  # no class default to shadow the view
+    JSON_READERS = dict.fromkeys(("basis", "shifts"), Fraction)
 
     def __post_init__(self):
         if operator.index(self.dimension) < 1:

@@ -72,6 +72,7 @@ class FiniteSet:
     modulus: int
     dimension: int
     points: tuple[tuple[int, ...], ...]
+    JSON_READERS = dict.fromkeys(("N", "d", "points"), operator.index)  # see cli._parse_json
 
     def __post_init__(self):
         n, d = operator.index(self.modulus), operator.index(self.dimension)
@@ -88,7 +89,15 @@ class FiniteSet:
             reduced.append(p)
         if len(set(reduced)) != len(reduced):
             raise ValueError("points are not distinct mod %d: %r" % (n, reduced))
-        vars(self).update(modulus=n, dimension=d, points=tuple(reduced))
+        self._store(n, d, reduced)
+
+    def _store(self, n: int, d: int, rows) -> "FiniteSet":  # the one writer of the fields
+        vars(self).update(modulus=n, dimension=d, points=tuple(map(tuple, rows)))
+        return self
+
+    @classmethod
+    def _reduced(cls, n: int, d: int, rows) -> "FiniteSet":  # rows reduced mod n and distinct
+        return object.__new__(cls)._store(n, d, rows)
 
     @classmethod
     def from_ints(cls, modulus: int, values) -> "FiniteSet":
@@ -248,16 +257,16 @@ def symbol_of_set(j: FiniteSet, k) -> complex:
     k = tuple(map(operator.index, (k,) if isinstance(k, Integral) else k))
     if len(k) != j.dimension:
         raise DimensionMismatchError("argument %r does not have dimension %d" % (k, j.dimension))
-    return complex(_symbols(j, [[c % j.modulus for c in k]])[0])
+    return complex(_symbols(j.points, [[c % j.modulus for c in k]], j.modulus)[0])
 
 
-def _symbols(j: FiniteSet, ks) -> np.ndarray:
-    """The symbol of J at each row of ``ks`` (integers in [0, N)), from one ``cis`` call,
-    the terms of each sum added in the order of J from 0j."""
-    n, d = j.modulus, j.dimension
-    jm, km = (int_array(x, d * n * n).reshape(-1, d) for x in (j.points, ks))
-    total = np.zeros(len(km), dtype=complex)
-    for term in cis(-(jm @ km.T), n):
+def _symbols(js, ks, n: int) -> np.ndarray:
+    """The symbol of J (#J, d), or of each J of a stack, at each row of ``ks`` (integers in
+    [0, N)), from one ``cis`` call, the terms of each sum added in the order of J from 0j."""
+    km = int_array(ks, np.shape(ks)[1] * n * n)  # an empty J's rows are (), of shape (0,)
+    jm = int_array(js, km.shape[1] * n * n).reshape(np.shape(js)[:-2] + (-1, km.shape[1]))
+    total = np.zeros(jm.shape[:-2] + (len(km),), dtype=complex)
+    for term in np.moveaxis(cis(-(jm @ km.T), n), -2, 0):
         total += term
     return total
 

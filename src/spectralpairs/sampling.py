@@ -207,7 +207,7 @@ def verify_alias_cancellation(a: FiniteSet, j: FiniteSet, k_range) -> AliasRepor
         raise ValueError("empty k range: %d > %d" % (k_min, k_max))
     ks = int_array(range(k_min, k_max + 1), max(abs(k_min), abs(k_max), j.modulus, a.modulus))
     reps = int_array(a.points, a.modulus).ravel()
-    values = _symbols(j, ks[:, None] % j.modulus)  # the symbol chi_hat_J at each k
+    values = _symbols(j.points, ks[:, None] % j.modulus, j.modulus)  # chi_hat_J at each k
     differences = np.isin(ks, np.subtract.outer(reps, reps))  # k in A - A
     size = np.hypot(values.real, values.imag)  # abs(value), as Python takes it
     symbol, small = differences & (ks != 0), size <= TOLERANCES.gram_bound(len(j))

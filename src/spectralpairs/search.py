@@ -1,16 +1,15 @@
 """Enumeration of Riesz/orthogonal finite pairs in Z_N^d at small N.
 
-Translating A or J multiplies the evaluation matrix by a unimodular
-diagonal and so preserves its classification: the deduplicated search
-visits only subsets lexicographically minimal among their translates that
-contain 0, which start with 0, so only subsets holding 0 are generated.
-Groups with more than 16 elements are sampled with a seed instead, drawing
-indices and never building the group.  Pairs go in fixed-size chunks.  A
-pair's evaluation matrix depends on it only through P = J A^T mod N, so a
-chunk classifies one stack of its distinct P, an orthogonal query screening
-it on the unitary defect so that only what passes gets an SVD.  One position
-table, distinct P -> match class or -1, takes each pair to its match: matches
-with one P share a ``FiniteClassification``, and only matches get
+Translating A or J multiplies the evaluation matrix by a unimodular diagonal and so
+preserves its classification: the deduplicated search visits only subsets lexicographically
+minimal among their translates that contain 0, which start with 0, so only subsets holding 0
+are generated.  Groups with more than 16 elements are sampled with a seed instead, drawing
+indices and never building the group.  Pairs go in fixed-size chunks.  A pair's evaluation
+matrix depends on it only through P = J A^T mod N, so a chunk classifies one stack of its
+distinct P, an orthogonal query screening it on the unitary defect so that only what passes
+gets an SVD; an exhaustive one first drops what one table of symbols, every J at every
+element, rules out.  One position table, distinct P -> match class or -1, takes each pair to
+its match: matches with one P share a ``FiniteClassification``, and only matches get
 ``FiniteSet``s, one per subset, shared by every match that holds it.
 """
 
@@ -25,12 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._exact import cis, int_array
-from .finite_pairs import (
-    FiniteClassification,
-    FiniteSet,
-    PairKind,
-    _classify_stacked,
-)
+from .finite_pairs import (TOLERANCES, FiniteClassification, FiniteSet, PairKind,
+                           _classify_stacked, _symbols)
 
 EXHAUSTIVE_GROUP_LIMIT = 16
 
@@ -166,10 +161,18 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
     deadline = None if q.time_budget is None else time.monotonic() + q.time_budget
     exhaustive = n**d <= EXHAUSTIVE_GROUP_LIMIT
     size = max(1, _CHUNK_ENTRIES // (k * k))
-    seed = None
+    seed, far = None, None
     if exhaustive:
         subsets = _subsets(n, d, k, q.dedup_translates)
         chunks, total = _exhaustive_chunks(subsets, size), len(subsets) ** 2
+        if q.target_kind is PairKind.ORTHOGONAL_BASIS:
+            # F^H F[r, r'] = m_J(a_r' - a_r), m_J(x) = sum_{j in J} e^{-2 pi i j.x/N}; the computed
+            # symbol and F^H F entry are each within delta_gram of it (e = 12 eps covers both), so
+            # |m~_J| > 3 delta_gram off the diagonal puts the defect past delta_gram: rejected
+            codes = n ** np.arange(d - 1, -1, -1)  # the row-major code of an element of Z_N^d
+            table = _symbols(subsets, np.arange(n**d)[:, None] // codes % n, n)  # [J, code]
+            far = np.abs(table) > 3 * TOLERANCES.gram_bound(k)
+            gaps = ((subsets[:, None] - subsets[:, :, None]) % n @ codes)[:, ~np.eye(k, dtype=bool)]
     else:
         seed = q.seed if q.seed is not None else int(np.random.SeedSequence().entropy % 2**32)
         rng = np.random.default_rng(seed)
@@ -184,9 +187,14 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
         if len(matches) >= limit or (deadline is not None and time.monotonic() > deadline):
             partial = True
             break
+        at = (np.arange(len(ia)) if far is None  # the chunk positions the table does not drop
+              else np.flatnonzero(~far[ij[:, None], gaps[ia]].any(axis=1)))
+        if not len(at):
+            examined += len(ia)
+            continue
         points = int_array(subsets, d * n * n)
-        phases = (points[ij] @ np.swapaxes(points[ia], 1, 2)) % n  # F = cis(-phases, n)
-        distinct, inverse = _distinct(phases.reshape(len(ia), -1), n)
+        phases = (points[ij[at]] @ np.swapaxes(points[ia[at]], 1, 2)) % n  # F = cis(-phases, n)
+        distinct, inverse = _distinct(phases.reshape(len(at), -1), n)
         ranks, *bounds, index = _classify_stacked(cis(-phases[distinct], n), q.target_kind)
         position = np.full(len(distinct), -1)  # distinct matrix -> its match class, or -1
         position[index] = np.arange(len(index))
@@ -195,16 +203,16 @@ def enumerate_pairs(q: SearchQuery) -> SearchResult:
         # records built as NamedTuple._make builds them, by tuple.__new__, with no Python frame
         fields = zip(kinds[ranks], *(x.tolist() for x in bounds))
         classes = list(map(tuple.__new__, itertools.repeat(FiniteClassification), fields))
-        a_rows, j_rows = ia[hits].tolist(), ij[hits].tolist()
+        a_rows, j_rows = ia[at[hits]].tolist(), ij[at[hits]].tolist()
         if not exhaustive:
             finite.clear()  # each sampled chunk draws new subsets
         for i in {*a_rows, *j_rows}.difference(finite):
-            finite[i] = FiniteSet(n, d, points[i].tolist())
+            finite[i] = FiniteSet._reduced(n, d, points[i].tolist())
         owners = map(classes.__getitem__, owner[hits].tolist())
         fields = zip(map(finite.get, a_rows), map(finite.get, j_rows), owners)
         matches.extend(map(tuple.__new__, itertools.repeat(SearchMatch), fields))
         if len(matches) >= limit:
-            examined += int(hits[-1]) + 1
+            examined += int(at[hits[-1]]) + 1
             partial = examined < total
             break
         examined += len(ia)

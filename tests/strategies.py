@@ -25,6 +25,10 @@ WIDE_RADII = st.one_of(
 )
 BELOW_2_62 = st.integers(-(2**62) + 1, 2**62 - 1)
 UP_TO_2_62 = st.integers(-(2**62), 2**62)
+# the 18 benchmark reference queries (N, d, k, kind)
+SEARCH_QUERIES = [(n, d, k, kind) for kind in ("orthogonal", "riesz") for n, d, k in (
+    (8, 1, 4), (9, 1, 4), (10, 1, 4), (11, 1, 3), (12, 1, 3), (15, 1, 3),
+    (3, 2, 3), (3, 2, 4), (4, 2, 3))]
 
 
 def bits(values):

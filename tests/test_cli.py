@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from strategies import SEARCH_QUERIES
 
 from spectralpairs import (BoxDomain, ContinuousPair, FiniteSet, build_evaluation_matrix,
                            classify_finite_pair, scaled_lattice)
@@ -265,6 +266,16 @@ class TestInputHandling:
              "J.points[1][1]: 'float' object cannot be interpreted as an integer"),
             (["construct", "--finite", "{tmp}/null_dimension.json"],
              "A.d: 'NoneType' object cannot be interpreted as an integer"),
+            # a value of a --base or --pair file the parser cannot read, named by its path
+            (["construct", "--N", "4", "--A", "0,2", "--J", "0,1",
+              "--base", "{tmp}/null_shift.json"],
+             "null_shift.json: spectrum.shifts[0][0]: argument should be a string or a Rational"),
+            (["gram", "--pair", "{tmp}/string_lo.json"],
+             "string_lo.json: domain.boxes[0].lo[0]: Invalid literal for Fraction: 'x'"),
+            (["dual", "--N", "4", "--A", "0,2", "--J", "0,1", "--base", "{tmp}/infinite_hi.json"],
+             "domain.boxes[0].hi[0]: cannot convert Infinity to integer ratio"),
+            (["bounds", "--pair", "{tmp}/string_lower.json"],
+             "string_lower.json: lower: could not convert string to float: 'x'"),
             (["search", "--N", "2", "--d", "63", "--k", "2"], "N^d = 2^63"),
             # windows past the analytics tables' limit, and a grid past the enumeration's
             (["gram", "--N", "4", "--A", "0,2", "--J", "0,1", "--radius", "1000000"],
@@ -292,6 +303,8 @@ class TestInputHandling:
              "search-tol", "classify-empty-a", "construct-empty-a", "construct-empty-j",
              "gram-empty-j", "dual-empty", "biorth-empty", "sample-recon-empty-j",
              "classify-string-point", "dual-float-coordinate", "construct-null-dimension",
+             "construct-base-null-shift", "gram-pair-string-lo", "dual-base-infinite-hi",
+             "bounds-pair-string-lower",
              "search-group-past-int64", "gram-window-past-limit", "biorth-window-past-limit",
              "bounds-grid-past-limit", "sample-recon-pattern-past-limit",
              "sample-recon-grid-past-limit", "sample-recon-grid-zero",
@@ -302,6 +315,15 @@ class TestInputHandling:
         (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
         empty, one = {"N": 4, "d": 1, "points": []}, {"N": 4, "d": 1, "points": [[0]]}
         plane = {"N": 4, "d": 2, "points": [[0, 0], [1, 0.5]]}
+        bad = base.to_json_dict()
+        bad["spectrum"]["shifts"] = [[None]]
+        (tmp_path / "null_shift.json").write_text(json.dumps(bad))
+        bad["spectrum"]["shifts"], bad["domain"]["boxes"][0]["lo"] = [["0"]], ["x"]
+        (tmp_path / "string_lo.json").write_text(json.dumps(bad))
+        bad["domain"]["boxes"][0]["lo"], bad["domain"]["boxes"][0]["hi"] = ["0"], [math.inf]
+        (tmp_path / "infinite_hi.json").write_text(json.dumps(bad))
+        bad["domain"]["boxes"][0]["hi"], bad["lower"] = ["1"], "x"
+        (tmp_path / "string_lower.json").write_text(json.dumps(bad))
         for name, a, j in [("empty_a", empty, one), ("empty_j", one, empty),
                            ("empty", empty, empty),
                            ("string_point", {**one, "points": [["0"]]}, one),
@@ -327,6 +349,23 @@ class TestInputHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_json_readers_cover_exactly_the_written_keys(self):
+        """Each reader map names the keys its from_json_dict reads, and to_json_dict writes."""
+        def keys(x, at=""):  # every key path in x, lists taken as their elements
+            if isinstance(x, dict):
+                return set().union(*({at + k} | keys(v, at + k + ".") for k, v in x.items()))
+            return set().union(*(keys(v, at) for v in x)) if isinstance(x, list) else set()
+
+        base = ContinuousPair.orthogonal(BoxDomain.interval(0, 1), scaled_lattice(1, "1"))
+        for value in (base, FiniteSet(4, 2, [[0, 0], [1, 2]])):
+            written = json.loads(json.dumps(value.to_json_dict()))
+            assert keys(written) == keys(type(value).JSON_READERS)
+
+    def test_keys_the_parser_does_not_read_are_not_checked(self, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps(pair_json(note={"lo": ["x"], "d": None})))
+        assert run(["gram", "--pair", str(tmp_path / "p.json"), "--radius", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAnalyticsCommands:
@@ -405,12 +444,6 @@ class TestSearchCommand:
         assert "meta" in records[-1]
         pairs = [r for r in records if "meta" not in r]
         assert all(r["classification"]["kind"] == "orthogonal-basis" for r in pairs)
-
-
-# the 18 benchmark reference queries (N, d, k, kind)
-SEARCH_QUERIES = [(n, d, k, kind) for kind in ("orthogonal", "riesz") for n, d, k in (
-    (8, 1, 4), (9, 1, 4), (10, 1, 4), (11, 1, 3), (12, 1, 3), (15, 1, 3),
-    (3, 2, 3), (3, 2, 4), (4, 2, 3))]
 
 
 def search_digest(tmp_path, queries, *flags):

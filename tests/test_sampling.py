@@ -279,7 +279,8 @@ def test_alias_table_matches_per_k_reference(case):
             verify_alias_cancellation(a, j, k_range)
         return
     table, report = reference_alias(a, j, k_range)
-    got = _symbols(j, [[k % j.modulus] for k, _, _ in table])  # the symbols the report reads
+    # the symbols the report reads
+    got = _symbols(j.points, [[k % j.modulus] for k, _, _ in table], j.modulus)
     assert got.tobytes() == np.array([v for _, v, _ in table], dtype=complex).tobytes()
     got = verify_alias_cancellation(a, j, k_range)
     assert got.to_json_dict() == report.to_json_dict()
@@ -293,7 +294,7 @@ def test_alias_table_past_2_62_takes_python_ints():
     table, report = reference_alias(a, j, (-4, 4))
     got = verify_alias_cancellation(a, j, (-4, 4))
     assert repr(got.to_json_dict()) == repr(report.to_json_dict())
-    values = _symbols(j, [[k % n] for k, _, _ in table])
+    values = _symbols(j.points, [[k % n] for k, _, _ in table], n)
     assert values.tobytes() == np.array([v for _, v, _ in table]).tobytes()
 
 

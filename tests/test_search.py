@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference import enumerate_pairs as reference_enumerate_pairs
 from reference import exhaustive_pairs
+from strategies import SEARCH_QUERIES
 
 from spectralpairs import (
     FiniteSet,
@@ -230,6 +231,17 @@ class TestEnumeratePairs:
             SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=-5)
         result = enumerate_pairs(SearchQuery(40, 1, 3, PairKind.RIESZ_BASIS, seed=1, samples=0))
         assert (result.matches, result.examined, result.partial) == ((), 0, False)
+
+
+@pytest.mark.parametrize("n, d, k, kind", SEARCH_QUERIES)
+def test_matched_sets_equal_validated_sets(n, d, k, kind):
+    """The search builds each matched set from its own rows, without validation: each equals,
+    and hashes as, the set validated from the same points, with Python int coordinates."""
+    for m in enumerate_pairs(SearchQuery(n, d, k, PairKind(kind + "-basis"))).matches:
+        for s in (m.a, m.j):
+            validated = FiniteSet(n, d, s.points)
+            assert s == validated and hash(s) == hash(validated)
+            assert all(type(c) is int for p in s.points for c in p)
 
 
 class TestHadamardReport:

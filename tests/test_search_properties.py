@@ -14,6 +14,7 @@ subsets is checked against the scalar ``canonical_form`` kept there too.
 import itertools
 from dataclasses import replace
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from reference import column_grouping
 from reference import enumerate_pairs as reference_enumerate_pairs
 
 from spectralpairs import PairKind, SearchQuery, enumerate_pairs, search
-from spectralpairs.finite_pairs import _classify_stacked
-from spectralpairs.search import EXHAUSTIVE_GROUP_LIMIT, _canonical
+from spectralpairs._exact import cis
+from spectralpairs.finite_pairs import TOLERANCES, _classify_stacked, _unitary_defect
+from spectralpairs.search import _CHUNK_ENTRIES, EXHAUSTIVE_GROUP_LIMIT, _canonical
 
 MAX_REFERENCE_SUBSETS = 60  # keeps the reference loop under ~3,600 pairs
 
@@ -65,17 +67,63 @@ def _summary(result):
 
 
 @settings(max_examples=150, deadline=None)
-@given(queries())
+@given(queries(), st.sampled_from([_CHUNK_ENTRIES, 90]))  # 90 entries: 10 pairs of 3 x 3
 # one Riesz pair here has a singular value whose square differs from x * x in the last bit
-@example(SearchQuery(10, 1, 4, PairKind.RIESZ_BASIS))
+@example(SearchQuery(10, 1, 4, PairKind.RIESZ_BASIS), _CHUNK_ENTRIES)
 # no orthogonal pair: the screen leaves an empty stack for the SVD
-@example(SearchQuery(4, 2, 3, PairKind.ORTHOGONAL_BASIS))
+@example(SearchQuery(4, 2, 3, PairKind.ORTHOGONAL_BASIS), _CHUNK_ENTRIES)
 # a group of exactly EXHAUSTIVE_GROUP_LIMIT elements is still searched exhaustively
-@example(SearchQuery(16, 1, 4, PairKind.ORTHOGONAL_BASIS))
+@example(SearchQuery(16, 1, 4, PairKind.ORTHOGONAL_BASIS), _CHUNK_ENTRIES)
 # the first match is pair 12 of 40: examined counts the 11 screened pairs before it
-@example(SearchQuery(6, 2, 2, PairKind.ORTHOGONAL_BASIS, max_results=1, seed=2, samples=40))
-def test_chunked_search_matches_per_pair_loop(q):
-    assert _summary(enumerate_pairs(q)) == _summary(reference_enumerate_pairs(q))
+@example(SearchQuery(6, 2, 2, PairKind.ORTHOGONAL_BASIS, max_results=1, seed=2, samples=40),
+         _CHUNK_ENTRIES)
+# k = 1: no off-diagonal difference, so the symbol table drops no pair
+@example(SearchQuery(5, 1, 1, PairKind.ORTHOGONAL_BASIS), _CHUNK_ENTRIES)
+# every subset, not one per translation orbit, screened on the symbol table
+@example(SearchQuery(6, 1, 2, PairKind.ORTHOGONAL_BASIS, dedup_translates=False), _CHUNK_ENTRIES)
+# the first match is pair 10 of 100, after 9 pairs the symbol table drops
+@example(SearchQuery(8, 1, 4, PairKind.ORTHOGONAL_BASIS, max_results=1), _CHUNK_ENTRIES)
+# 37 chunks of 10 pairs: the first, all dropped, classifies nothing; the stop is pair 76
+@example(SearchQuery(12, 1, 3, PairKind.ORTHOGONAL_BASIS, max_results=2), 90)
+def test_chunked_search_matches_per_pair_loop(q, entries):
+    with mock.patch.object(search, "_CHUNK_ENTRIES", entries):
+        assert _summary(enumerate_pairs(q)) == _summary(reference_enumerate_pairs(q))
+
+
+@st.composite
+def exhaustive_orthogonal_queries(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, EXHAUSTIVE_GROUP_LIMIT if d == 1 else 4))
+    k, dedup = draw(st.integers(1, min(4, n**d))), draw(st.booleans())
+    if not dedup:
+        k = min(k, max(c for c in range(1, k + 1) if comb(n**d, c) <= MAX_REFERENCE_SUBSETS))
+    return SearchQuery(n, d, k, PairKind.ORTHOGONAL_BASIS, dedup_translates=dedup)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exhaustive_orthogonal_queries())
+@example(SearchQuery(16, 1, 4, PairKind.ORTHOGONAL_BASIS))
+@example(SearchQuery(4, 2, 3, PairKind.ORTHOGONAL_BASIS))
+def test_symbol_screen_drops_only_pairs_the_unitary_defect_rejects(q):
+    """The screen decides on P = J A^T mod N alone (the symbol of J at a_r' - a_r sums the
+    roots of P[s, r'] - P[s, r] in the order of J), so the pairs it drops are those whose P
+    never reaches grouping; each of them has a unitary defect past delta_gram."""
+    n, k, grouped = q.modulus, q.cardinality, set()
+
+    def spy(keys, modulus):
+        grouped.update(map(tuple, keys.tolist()))
+        return distinct(keys, modulus)
+
+    distinct = search._distinct
+    with mock.patch.object(search, "_distinct", spy):
+        result = enumerate_pairs(q)
+    subsets = search._subsets(n, q.dimension, k, q.dedup_translates)
+    ia, ij = np.divmod(np.arange(len(subsets) ** 2), len(subsets))
+    phases = (subsets[ij] @ np.swapaxes(subsets[ia], 1, 2)) % n
+    dropped = np.array([p for p in phases if tuple(p.ravel().tolist()) not in grouped])
+    assert result.examined == len(phases) and not result.partial
+    if len(dropped):
+        assert (_unitary_defect(cis(-dropped, n)) > TOLERANCES.gram_bound(k)).all()
 
 
 def phases(match):
